@@ -138,16 +138,21 @@ def _primitive_cmd(fn):
     return run
 
 
-def _cmd_dset(args) -> int:
+def _unconstrained(fn, args):
     union = _load_union(args)
-    D = derived_set(union)
+    if any(isinstance(comp, ConstrainedImage) for comp in union):
+        raise CliError(f"{args.verb} needs unconstrained images: derived sets of constrained ones are not computed")
+    return fn(union)
+
+
+def _cmd_dset(args) -> int:
+    D = _unconstrained(derived_set, args)
     _emit(args, imageunion_to_json(D), [repr(F) for F in D] or ["(empty)"])
     return 0
 
 
 def _cmd_drank(args) -> int:
-    union = _load_union(args)
-    r = d_rank(union)
+    r = _unconstrained(d_rank, args)
     _emit(args, {"d_rank": r}, [str(r)])
     return 0
 
@@ -323,9 +328,15 @@ def _cmd_clique(args) -> int:
     return 0
 
 
+def _field(obj, key: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise CliError(f"recover input is missing the key {key!r}")
+    return obj[key]
+
+
 def _cmd_recover(args) -> int:
     data = _load_json(args.file)
-    evals = [(tuple(item["args"]), parse_element(item["value"])) for item in data["evals"]]
+    evals = [(tuple(_field(item, "args")), parse_element(_field(item, "value"))) for item in _field(data, "evals")]
     F = recover(evals)
     _emit(args, psifunction_to_json(F), [repr(F)])
     return 0

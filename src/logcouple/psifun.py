@@ -423,6 +423,15 @@ def _zero_partitions(mask: int, msum) -> Iterable[List[int]]:
         sub = (sub - 1) & rest
 
 
+def _subset_sums(qs: Sequence[Fraction]) -> List[Fraction]:
+    """The sum of qs over every bit mask of positions, indexed by mask."""
+    msum = [Fraction(0)] * (1 << len(qs))
+    for mask in range(1, len(msum)):
+        low_i = (mask & -mask).bit_length() - 1
+        msum[mask] = msum[mask ^ (1 << low_i)] + qs[low_i]
+    return msum
+
+
 def member(gamma: GammaElement, F: PsiFunction) -> List[MemberSolution]:
     """All index assignments with F(assignment) = gamma, including parametric
     zero-sum families; empty list means gamma is not in the image."""
@@ -432,14 +441,10 @@ def member(gamma: GammaElement, F: PsiFunction) -> List[MemberSolution]:
     labels = F.labels
     if not labels:
         return [MemberSolution(())] if delta.is_zero else []
-    qs = [F.coeffs[l] for l in labels]
     n = len(labels)
     if n > 16:
         raise ValueError("membership solving supports at most 16 indices")
-    msum = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        low_i = (mask & -mask).bit_length() - 1
-        msum[mask] = msum[mask ^ (1 << low_i)] + qs[low_i]
+    msum = _subset_sums([q for _, q in F._coeffs])
     if delta.coord(0) != msum[(1 << n) - 1]:
         return []
     M = 0 if delta.is_zero else delta.items()[-1][0] + 1
@@ -535,14 +540,69 @@ def contains(X, gamma: GammaElement) -> bool:
     return any(contains(comp, gamma) for comp in X)
 
 
+# -- capped index profiles -----------------------------------------------------
+
+
+def _capped_profiles(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, target=None) -> set:
+    """The capped index profiles of F at depth k, as (vector, capped mask,
+    pins) states.
+
+    The first k coordinates of F(n) only depend on the capped profile
+    min(n_i, k): coordinate c < k is offset_c + (sum of q_i over
+    A_c = {i : n_i > c}).  A profile is therefore a chain of label sets
+    A_0 = I ⊇ A_1 ⊇ ... ⊇ A_{k-1}, and the sweep builds the vector one
+    coordinate at a time, choosing A_c among the subsets of A_{c-1}; the
+    labels that leave at step c are pinned to n_i = c.  The capped mask
+    is A_{k-1} (the labels with n_i >= k), as a bit mask over positions
+    in ``F.labels``; pins are (label, n) pairs.
+
+    Without atoms the pins are not kept, so chains that agree on the
+    prefix and on the open mask merge, and the cost follows the number of
+    distinct vectors instead of k^|I|.  With atoms a chain is dropped as
+    soon as the difference system with n_i >= c + 1 on its open labels
+    and its pins fixed is unsatisfiable.  That is sound, since every
+    completion only tightens those bounds, and at c = k - 1 it is exactly
+    the satisfiability of the full capped profile.  With ``target`` only
+    chains whose prefix agrees with it are kept.
+    """
+    labels = F.labels
+    n = len(labels)
+    msum = _subset_sums([q for _, q in F._coeffs])
+    offset = F.offset.truncate(k)
+
+    def viable(state, c: int) -> bool:
+        prefix, open_mask, pins = state
+        if target is not None and prefix[c] != target[c]:
+            return False
+        if not atoms:
+            return True
+        lower = {labels[i]: c + 1 for i in range(n) if open_mask >> i & 1}
+        lower.update(pins)
+        return solve_min(labels, atoms, lower=lower, upper=dict(pins)) is not None
+
+    full = (1 << n) - 1
+    start = ((offset[0] + msum[full],), full, ())  # A_0 = I, as every n_i >= 1
+    states = {start} if viable(start, 0) else set()
+    for c in range(1, k):
+        grown = set()
+        for prefix, open_mask, pins in states:
+            sub = open_mask
+            while True:
+                pinned = ()
+                if atoms:
+                    left = open_mask ^ sub
+                    pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
+                state = (prefix + (offset[c] + msum[sub],), sub, pinned)
+                if viable(state, c):
+                    grown.add(state)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & open_mask
+        states = grown
+    return states
+
+
 # -- the limit-point probe ----------------------------------------------------
-
-
-def _profile_truncation(F: PsiFunction, profile: Sequence[int], k: int) -> Tuple[Fraction, ...]:
-    total = F.offset
-    for (l, q), v in zip(F._coeffs, profile):
-        total = total + psi_point(v) * q
-    return total.truncate(k)
 
 
 def _has_nongamma_value(
@@ -587,52 +647,41 @@ def _has_nongamma_value(
     return False
 
 
+def _holds_other_point(F: PsiFunction, atoms, capped: int, pins, k: int, gamma: GammaElement) -> bool:
+    """Whether a capped-profile state of F whose vector is gamma.truncate(k)
+    holds a point of the component other than gamma."""
+    if not atoms:
+        # A capped label makes the family take infinitely many distinct
+        # values.  With none capped every n_i < k, and E_{n_i} touches no
+        # coordinate >= k - 1, so the point equals gamma iff the offset
+        # agrees with gamma on every coordinate >= k.
+        return bool(capped) or any(c >= k for c, _ in (F.offset - gamma).items())
+    if not capped:
+        return F.evaluate(dict(pins)) != gamma
+    capped_labels = [l for i, l in enumerate(F.labels) if capped >> i & 1]
+    return _has_nongamma_value(F, atoms, dict(pins), capped_labels, k, gamma)
+
+
 def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     """True iff for every k <= K some point of X other than gamma matches
-    gamma on the first k coordinates.  The per-k check enumerates capped
-    index profiles in {1..k}^I (the truncation only depends on min(n_i, k)),
-    filtering constrained components by satisfiability."""
+    gamma on the first k coordinates.
+
+    The per-k check runs the capped-profile sweep of ``_capped_profiles``
+    with gamma.truncate(k) as its target, so a chain is cut at the first
+    coordinate where it leaves gamma, and constrained chains are cut as
+    soon as their partial difference system is unsatisfiable.  Each
+    surviving state is then asked for a point other than gamma."""
     if K < 1:
         raise ValueError("probe depth must be >= 1")
     parts = _component_parts(X)
-    for k in range(1, K + 1):
-        target = gamma.truncate(k)
-        found = False
-        for F, atoms in parts:
-            labels = F.labels
-            if not labels:
-                x = F.offset
-                if x != gamma and x.truncate(k) == target:
-                    found = True
-                    break
-                continue
-            for profile in itertools.product(range(1, k + 1), repeat=len(labels)):
-                if _profile_truncation(F, profile, k) != target:
-                    continue
-                capped = [l for l, v in zip(labels, profile) if v == k]
-                pins = {l: v for l, v in zip(labels, profile) if v < k}
-                if not atoms:
-                    if capped:
-                        # the capped family takes infinitely many distinct
-                        # values, so certainly one differs from gamma
-                        found = True
-                        break
-                    if F.evaluate(pins) != gamma:
-                        found = True
-                        break
-                else:
-                    if not capped:
-                        if satisfies(pins, atoms) and F.evaluate(pins) != gamma:
-                            found = True
-                            break
-                    elif _has_nongamma_value(F, atoms, pins, capped, k, gamma):
-                        found = True
-                        break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    return all(
+        any(
+            _holds_other_point(F, atoms, capped, pins, k, gamma)
+            for F, atoms in parts
+            for _, capped, pins in _capped_profiles(F, atoms, k, gamma.truncate(k))
+        )
+        for k in range(1, K + 1)
+    )
 
 
 # -- recovery from probe evaluations -------------------------------------------

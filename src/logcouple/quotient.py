@@ -4,20 +4,28 @@ For a finite scale value s^k0 the convex subgroup consists of the
 elements whose first k coordinates vanish, so the quotient is the
 lexicographic rational k-space and the projection is coordinate
 truncation.  Images of small sets in these quotients are finite and are
-computed exactly by enumerating capped index profiles: the first k
-coordinates of a staircase sum only depend on min(n_i, k).
+computed exactly from capped index profiles: the first k coordinates of a
+staircase sum only depend on min(n_i, k).  Coordinate c < k of F(n) is
+offset_c plus the sum of q_i over {i : n_i > c}, so a capped profile is a
+chain of label sets and ``psifun._capped_profiles`` sweeps the coordinates
+once, merging chains that agree on the prefix and on the labels still
+open; its cost follows the number of distinct vectors, not k^|I|.  For a
+constrained image a chain is pruned as soon as its partial difference
+system (open labels at least c + 1, left labels pinned) is unsatisfiable;
+completions only tighten that system, so nothing satisfiable is lost, and
+at the last coordinate the test is exactly the satisfiability of the full
+capped profile.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .element import GammaElement, GammaExt, INF, format_rational, psi_point
-from .psifun import PsiFunction, _component_parts, solve_min
+from .psifun import _capped_profiles, _component_parts
 
 __all__ = [
     "Phi",
@@ -25,7 +33,6 @@ __all__ = [
     "TruncatedVector",
     "in_delta",
     "project",
-    "project_tuple",
     "project_set",
     "count_function",
     "closed_discrete_certificate",
@@ -101,39 +108,14 @@ def project(gamma: GammaElement, k: int) -> TruncatedVector:
     return gamma.truncate(k)
 
 
-def project_tuple(point: Sequence[GammaElement], k: int) -> Tuple[TruncatedVector, ...]:
-    return tuple(project(g, k) for g in point)
-
-
-def _capped_value(F: PsiFunction, profile: Sequence[int]) -> GammaElement:
-    total = F.offset
-    for (label, q), v in zip(F._coeffs, profile):
-        total = total + psi_point(v) * q
-    return total
-
-
 def project_set(X, k: int) -> Set[TruncatedVector]:
     """The exact finite projection of an image union or constrained image:
-    capped profiles in {1..k}^I, a cap meaning "at least k"; constrained
-    profiles are kept only when the extended difference system is
-    satisfiable."""
+    the vectors of the capped-profile sweep of each component (a cap
+    meaning "at least k"), constrained chains pruned as soon as their
+    difference system is unsatisfiable."""
     if k < 1:
         raise ValueError("projection depth must be >= 1")
-    out: Set[TruncatedVector] = set()
-    for F, atoms in _component_parts(X):
-        labels = F.labels
-        if not labels:
-            out.add(F.offset.truncate(k))
-            continue
-        for profile in itertools.product(range(1, k + 1), repeat=len(labels)):
-            if atoms:
-                lower = {l: k for l, v in zip(labels, profile) if v == k}
-                pins = {l: v for l, v in zip(labels, profile) if v < k}
-                lower.update(pins)
-                if solve_min(labels, atoms, lower=lower, upper=pins) is None:
-                    continue
-            out.add(_capped_value(F, profile).truncate(k))
-    return out
+    return {vec for F, atoms in _component_parts(X) for vec, _, _ in _capped_profiles(F, atoms, k)}
 
 
 def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:

@@ -420,8 +420,10 @@ def rep_to_json(rep: Rep) -> dict:
 
 
 def rep_from_json(obj: Mapping) -> Rep:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("products"), list):
+        raise ValueError('a definable-set rep is a JSON object with a "products" list')
     arity = int(obj.get("arity", 1))
-    products = obj.get("products", [])
+    products = obj["products"]
     if arity == 1:
         comps = []
         for product in products:

@@ -111,6 +111,42 @@ class TestSetVerbs:
         assert code == 0 and "quotient=11" in out and "ok" in out
 
 
+BAD_INPUTS = {
+    "constrained.json": component_to_json(fig2_set()),
+    "union-list.json": [component_to_json(fig2_set()), psifunction_to_json(parse_linear("x0 - x1"))],
+    "no-evals.json": {"evaluations": []},
+    "no-value.json": {"evals": [{"args": [1]}]},
+    "no-args.json": {"evals": [{"value": "[1]"}]},
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dset", "--file", "constrained.json"], "needs unconstrained images"),
+            (["drank", "--file", "union-list.json"], "needs unconstrained images"),
+            (["dim", "--rep", "union-list.json", "--phi", "s^3"], '"products" list'),
+            (["crosscheck", "--rep", "union-list.json", "--phi", "s^3"], '"products" list'),
+            (["dim", "--rep", "constrained.json", "--phi", "s^3"], '"products" list'),
+            (["crosscheck", "--rep", "constrained.json", "--phi", "s^3"], '"products" list'),
+            (["recover", "--file", "no-evals.json"], "missing the key 'evals'"),
+            (["recover", "--file", "no-value.json"], "missing the key 'value'"),
+            (["recover", "--file", "no-args.json"], "missing the key 'args'"),
+        ],
+    )
+    def test_one_line_error(self, capsys, tmp_path, argv, message):
+        for name, data in BAD_INPUTS.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        argv = [str(tmp_path / a) if a in BAD_INPUTS else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 class TestOtherVerbs:
     def test_witness(self, capsys):
         code, out = run(capsys, "witness", "[0, 1]")

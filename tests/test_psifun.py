@@ -18,6 +18,8 @@ from logcouple.psifun import (
     Atom,
     ConstrainedImage,
     PsiFunction,
+    _component_parts,
+    _has_nongamma_value,
     component_from_json,
     component_to_json,
     contains,
@@ -77,6 +79,74 @@ def random_psifunction(rng, min_arity=0, max_arity=3, coeff_bound=9, offset_supp
         for i in rng.sample(range(offset_support + 1), rng.randint(0, offset_support))
     )
     return PsiFunction(coeffs, offset)
+
+
+def random_atoms(rng, arity):
+    """One to three atoms of any kind over labels 0..arity-1, constants in
+    -1..1 for differences and 1..3 for bounds."""
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["diff_le", "diff_eq", "ge", "le"] if arity > 1 else ["ge", "le"])
+        if kind in ("ge", "le"):
+            atoms.append(Atom(kind, i=rng.randrange(arity), c=rng.randint(1, 3)))
+        else:
+            i, j = rng.sample(range(arity), 2)
+            atoms.append(Atom(kind, i=i, j=j, c=rng.randint(-1, 1)))
+    return tuple(atoms)
+
+
+def _profile_truncation(F, profile, k):
+    total = F.offset
+    for (l, q), v in zip(F._coeffs, profile):
+        total = total + psi_point(v) * q
+    return total.truncate(k)
+
+
+def reference_probe(gamma, X, K):
+    """The per-profile probe loop that preceded the capped-profile sweep,
+    kept verbatim as a differential oracle: every profile in {1..k}^I is
+    built and truncated on its own."""
+    if K < 1:
+        raise ValueError("probe depth must be >= 1")
+    parts = _component_parts(X)
+    for k in range(1, K + 1):
+        target = gamma.truncate(k)
+        found = False
+        for F, atoms in parts:
+            labels = F.labels
+            if not labels:
+                x = F.offset
+                if x != gamma and x.truncate(k) == target:
+                    found = True
+                    break
+                continue
+            for profile in itertools.product(range(1, k + 1), repeat=len(labels)):
+                if _profile_truncation(F, profile, k) != target:
+                    continue
+                capped = [l for l, v in zip(labels, profile) if v == k]
+                pins = {l: v for l, v in zip(labels, profile) if v < k}
+                if not atoms:
+                    if capped:
+                        # the capped family takes infinitely many distinct
+                        # values, so certainly one differs from gamma
+                        found = True
+                        break
+                    if F.evaluate(pins) != gamma:
+                        found = True
+                        break
+                else:
+                    if not capped:
+                        if satisfies(pins, atoms) and F.evaluate(pins) != gamma:
+                            found = True
+                            break
+                    elif _has_nongamma_value(F, atoms, pins, capped, k, gamma):
+                        found = True
+                        break
+            if found:
+                break
+        if not found:
+            return False
+    return True
 
 
 class TestBasics:
@@ -288,6 +358,27 @@ class TestProbe:
     def test_probe_on_union(self):
         X = [fn("x0 - x1"), fn("x0")]
         assert limit_point_probe(ZERO, X, 8) is True
+
+    def test_matches_per_profile_reference(self):
+        rng = random.Random(11)
+        trues = 0
+        for _ in range(120):
+            X = []
+            for _ in range(rng.randint(1, 2)):
+                F = random_psifunction(rng, max_arity=3, coeff_bound=2)
+                if F.labels and rng.random() < 0.6:
+                    X.append(ConstrainedImage(F, random_atoms(rng, len(F.labels))))
+                else:
+                    X.append(F)
+            plain = [comp for comp in X if isinstance(comp, PsiFunction)]
+            gammas = [ZERO] + sample_points(X, 3) + sample_points(derived_set(plain), 3)
+            gammas += [g + unit(rng.randint(0, 4)) for g in gammas[:3]]
+            for gamma in gammas:
+                K = rng.randint(1, 5)
+                got = limit_point_probe(gamma, X, K)
+                assert got == reference_probe(gamma, X, K), (X, gamma, K)
+                trues += got
+        assert trues > 100  # the oracle also confirms limit points, not only misses
 
 
 class TestRecover:

@@ -26,6 +26,7 @@ from logcouple.quotient import (
     project,
     project_set,
 )
+from test_psifun import random_atoms
 
 
 def el(text):
@@ -153,6 +154,26 @@ class TestProjectSet:
                 got = project_set([comp], k)
                 want = brute_project_set([comp], k, k + 3)
                 assert got == want, (comp, k)
+        # all four atom kinds, nonzero offsets, constants and arity 4; an
+        # unconstrained profile is realized in {1..k}^I, and the atoms'
+        # constants are small enough that a window of max(k, 3) + arity
+        # holds a least witness of every satisfiable constrained profile
+        rng = random.Random(29)
+        for _ in range(40):
+            arity = rng.randint(0, 4)
+            coeffs = {
+                i: Fraction(rng.choice([n for n in range(-4, 5) if n]), rng.randint(1, 3))
+                for i in range(arity)
+            }
+            offset = el("[" + ", ".join(str(rng.randint(-2, 2)) for _ in range(rng.randint(0, 5))) + "]")
+            comp = F = PsiFunction(coeffs, offset)
+            constrained = arity and rng.random() < 0.6
+            if constrained:
+                comp = ConstrainedImage(F, random_atoms(rng, arity))
+            for k in range(1, 4 if arity == 4 else 5):
+                got = project_set([comp], k)
+                want = brute_project_set([comp], k, max(k, 3) + arity if constrained else k)
+                assert got == want, (comp, getattr(comp, "constraints", ()), k)
 
 
 class TestCount:
