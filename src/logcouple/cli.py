@@ -328,15 +328,20 @@ def _cmd_clique(args) -> int:
     return 0
 
 
-def _field(obj, key: str):
+def _field(obj, key: str, kind: type):
     if not isinstance(obj, dict) or key not in obj:
         raise CliError(f"recover input is missing the key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise CliError(f"recover input: {key!r} must be a {'list' if kind is list else 'string'}")
     return obj[key]
 
 
 def _cmd_recover(args) -> int:
     data = _load_json(args.file)
-    evals = [(tuple(_field(item, "args")), parse_element(_field(item, "value"))) for item in _field(data, "evals")]
+    evals = [
+        (tuple(_field(item, "args", list)), parse_element(_field(item, "value", str)))
+        for item in _field(data, "evals", list)
+    ]
     F = recover(evals)
     _emit(args, psifunction_to_json(F), [repr(F)])
     return 0
@@ -385,7 +390,7 @@ def _cmd_repl(args) -> int:
                 return 0
             if line == "env":
                 for name, value in sorted(session.items()):
-                    kind = "rep" if isinstance(value, (UnaryRep,)) else "elem"
+                    kind = "rep" if isinstance(value, Rep) else "elem"
                     shown = format_element(value) if kind == "elem" else "(rep)"
                     print(f"{name}\t{kind}\t{shown}")
                 continue
@@ -396,7 +401,7 @@ def _cmd_repl(args) -> int:
                     raise CliError(f"nothing named {name!r}")
                 value = session[name]
                 with open(path, "w") as handle:
-                    if isinstance(value, UnaryRep):
+                    if isinstance(value, Rep):
                         json.dump(rep_to_json(value), handle)
                     else:
                         json.dump(format_element(value), handle)
@@ -412,7 +417,7 @@ def _cmd_repl(args) -> int:
             if parts[0] == "dim" and len(parts) == 3:
                 name, phi_text = parts[1], parts[2]
                 rep = session.get(name)
-                if not isinstance(rep, (UnaryRep,)):
+                if not isinstance(rep, Rep):
                     raise CliError(f"{name!r} is not a loaded rep")
                 print(_fmt_dim(dim(rep, Phi.parse(phi_text))))
                 continue

@@ -241,8 +241,20 @@ def solve_min(
     upper: Optional[Mapping[int, int]] = None,
 ) -> Optional[Dict[int, int]]:
     """Least integer solution of the difference-constraint system with all
-    variables >= 1, or None if unsatisfiable (detected as a forcing cycle,
-    Bellman-Ford style)."""
+    variables >= 1, or None if unsatisfiable.
+
+    Bellman-Ford, longest-path form (CLRS 24.4): x starts at the lower
+    bounds, and each pass raises n_j to n_i - c for every atom
+    n_i - n_j <= c that x violates.  Each raise is forced, so x stays
+    below every solution, and once a pass changes nothing x is a solution:
+    the least one.  An upper bound crossed on the way proves the system
+    unsatisfiable.  Without a cycle of atoms whose constants sum below 0,
+    the final x_j is a lower bound carried along a simple path of at most
+    |labels| - 1 atoms, and pass p has carried every path of p atoms; so
+    a feasible system settles within |labels| passes, and the
+    ``len(labels) + 2`` bound never cuts one off.  With such a gain cycle
+    no solution exists, some atom is violated after every pass, and the
+    loop ends in None."""
     labels = sorted(set(labels))
     lo = {l: 1 for l in labels}
     up: Dict[int, Optional[int]] = {l: None for l in labels}
@@ -605,61 +617,56 @@ def _capped_profiles(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, target=Non
 # -- the limit-point probe ----------------------------------------------------
 
 
-def _has_nongamma_value(
-    F: PsiFunction,
-    atoms: Tuple[Atom, ...],
-    pins: Dict[int, int],
-    capped: List[int],
-    k: int,
-    gamma: GammaElement,
-) -> bool:
-    """Exactly decide whether the constrained capped profile holds a point
-    different from gamma.  Witness-driven: returns True only on an explicit
-    instantiation with a different value."""
-    labels = F.labels
-    lower = {l: k for l in capped}
-    lower.update(pins)
-    upper = dict(pins)
-    least = solve_min(labels, atoms, lower=lower, upper=upper)
-    if least is None:
-        return False
-    if F.evaluate(least) != gamma:
-        return True
-    # push each variable off the least solution
-    for l in labels:
-        pushed = dict(lower)
-        pushed[l] = least[l] + 1
-        alt = solve_min(labels, atoms, lower=pushed, upper=upper)
-        if alt is not None and F.evaluate(alt) != gamma:
-            return True
-    # windowed sweep; beyond this window only engineered ties could differ
-    width = k + len(labels) + 3
-    ranges = []
-    for l in labels:
-        if l in pins:
-            ranges.append((pins[l],))
-        else:
-            ranges.append(tuple(range(k, width + 1)))
-    for combo in itertools.product(*ranges):
-        assignment = dict(zip(labels, combo))
-        if satisfies(assignment, atoms) and F.evaluate(assignment) != gamma:
-            return True
-    return False
-
-
 def _holds_other_point(F: PsiFunction, atoms, capped: int, pins, k: int, gamma: GammaElement) -> bool:
     """Whether a capped-profile state of F whose vector is gamma.truncate(k)
-    holds a point of the component other than gamma."""
+    holds a point of the component other than gamma.
+
+    With atoms the answer comes from the least solution and its unit
+    pushes, and it is exact.  Let S be the solutions of the state's
+    system (pins fixed, capped labels >= k), x its least solution, which
+    ``solve_min`` returns, and x^l the least solution with n_l >= x_l + 1.
+    Claim: some point of S has F != F(x) iff some x^l does.
+
+    (a) E_{n+1} - E_n = e_n, so F(x + 1_R) - F(x) is the sum of q_i e_{x_i}
+        over i in R.  It is zero iff, at each position p, the q_i of the
+        labels i in R with x_i = p sum to 0.
+    (b) Let R(l) be the least label set that holds l and holds j whenever
+        it holds i and the atom n_i - n_j <= c is tight at x.  Every point
+        of S is >= x, and one with n_l > x_l is >= x + 1_{R(l)}, which
+        meets every difference atom.  So x^l = x + 1_{R(l)}, or x^l does
+        not exist because R(l) holds a label at its upper bound (a pin or
+        an ``le`` atom); then n_l = x_l on all of S.
+    (c) If i is in R(j) and j in R(i), the tight atoms close a cycle of
+        weight 0, so n_i - n_j is the same on all of S: each class of
+        mutual reachability moves as one, by a shift t >= 0 from x.
+    (d) Suppose every x^l that exists has F(x^l) = F(x).  The labels with
+        an x^l are closed under reachability, so induction up the acyclic
+        order of their classes with (a) gives, in each class K and at each
+        position p, a zero sum of the q_i with x_i = p.  Hence the sum of
+        q_i E_{x_i + t} over K is 0 for every t, the other labels never
+        move, and F is constant on S.
+
+    So it suffices to compare F(x) with gamma and then push each capped
+    label once; a pinned label cannot move.  True is only returned at an
+    explicit point whose value differs from gamma."""
     if not atoms:
         # A capped label makes the family take infinitely many distinct
         # values.  With none capped every n_i < k, and E_{n_i} touches no
         # coordinate >= k - 1, so the point equals gamma iff the offset
         # agrees with gamma on every coordinate >= k.
         return bool(capped) or any(c >= k for c, _ in (F.offset - gamma).items())
-    if not capped:
-        return F.evaluate(dict(pins)) != gamma
-    capped_labels = [l for i, l in enumerate(F.labels) if capped >> i & 1]
-    return _has_nongamma_value(F, atoms, dict(pins), capped_labels, k, gamma)
+    labels = F.labels
+    upper = dict(pins)
+    free = [l for i, l in enumerate(labels) if capped >> i & 1]
+    # never None: the sweep keeps only states whose system is satisfiable
+    least = solve_min(labels, atoms, lower={**upper, **dict.fromkeys(free, k)}, upper=upper)
+    if F.evaluate(least) != gamma:
+        return True
+    for l in free:
+        pushed = solve_min(labels, atoms, lower={**least, l: least[l] + 1}, upper=upper)
+        if pushed is not None and F.evaluate(pushed) != gamma:
+            return True
+    return False
 
 
 def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:

@@ -389,6 +389,8 @@ def _unary_component_to_json(comp: UnaryComponent) -> dict:
 
 
 def _unary_component_from_json(obj: Mapping) -> UnaryComponent:
+    if not isinstance(obj, Mapping):
+        raise ValueError("a component of a definable-set rep is a JSON object")
     kind = obj.get("kind")
     if kind == "interval":
         return Interval(
@@ -424,6 +426,8 @@ def rep_from_json(obj: Mapping) -> Rep:
         raise ValueError('a definable-set rep is a JSON object with a "products" list')
     arity = int(obj.get("arity", 1))
     products = obj["products"]
+    if not all(isinstance(product, list) for product in products):
+        raise ValueError("each product of a definable-set rep is a list of components")
     if arity == 1:
         comps = []
         for product in products:

@@ -134,6 +134,15 @@ _TOKEN_RE = re.compile(
 _FUNCTIONS = {"psi": Psi, "s": Succ, "p": Pred, "int": Integ}
 _DELTA_RE = re.compile(r"d(\d+)$")
 
+# The deepest term parse_term accepts.  Every parenthesis, unary operator,
+# function call and link of a sum adds a level; the bound keeps parsing and
+# the recursive walks over terms well inside Python's recursion limit.
+_MAX_DEPTH = 100
+
+
+def _too_deep(pos: int) -> TermSyntaxError:
+    return TermSyntaxError(f"term nested deeper than {_MAX_DEPTH} levels", pos)
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -153,6 +162,7 @@ class _Parser:
                     break
             pos = m.end()
         self.i = 0
+        self.open = 0  # parse_unary calls on the stack
 
     def peek(self) -> Optional[Tuple[str, str, int]]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -169,37 +179,47 @@ class _Parser:
         if tok[1] != value:
             raise TermSyntaxError(f"expected {value!r}, found {tok[1]!r}", tok[2])
 
+    # Each parse_* method returns the term and its depth.
     # term := unary (('+'|'-') unary)*
-    def parse_sum(self) -> Term:
-        t = self.parse_unary()
+    def parse_sum(self) -> Tuple[Term, int]:
+        t, depth = self.parse_unary()
         while True:
             tok = self.peek()
             if tok and tok[1] in "+-":
                 self.next()
-                rhs = self.parse_unary()
-                t = Add(t, rhs) if tok[1] == "+" else Add(t, Neg(rhs))
+                rhs, rhs_depth = self.parse_unary()
+                if tok[1] == "-":
+                    rhs, rhs_depth = Neg(rhs), rhs_depth + 1
+                t, depth = Add(t, rhs), max(depth, rhs_depth) + 1
             else:
-                return t
+                return t, depth
 
-    def parse_unary(self) -> Term:
+    def parse_unary(self) -> Tuple[Term, int]:
         tok = self.peek()
+        self.open += 1
+        if self.open > _MAX_DEPTH:
+            raise _too_deep(tok[2] if tok else len(self.text))
         if tok and tok[1] == "-":
             self.next()
-            return Neg(self.parse_unary())
-        return self.parse_primary()
+            t, depth = self.parse_unary()
+            t, depth = Neg(t), depth + 1
+        else:
+            t, depth = self.parse_primary()
+        self.open -= 1
+        return t, depth
 
-    def parse_primary(self) -> Term:
+    def parse_primary(self) -> Tuple[Term, int]:
         tok = self.next()
         kind, value, pos = tok
         if value == "(":
-            inner = self.parse_sum()
+            inner, depth = self.parse_sum()
             self.expect(")")
-            return inner
+            return inner, depth + 1
         if value == "[":
-            return Const(self.parse_element_body())
+            return Const(self.parse_element_body()), 1
         if kind == "ident":
             if value == "inf":
-                return Const(INF)
+                return Const(INF), 1
             nxt = self.peek()
             if nxt and nxt[1] == "(":
                 ctor = _FUNCTIONS.get(value)
@@ -211,11 +231,11 @@ class _Parser:
                     ctor = lambda arg: Delta(n, arg)
                 if ctor is not None:
                     self.expect("(")
-                    inner = self.parse_sum()
+                    inner, depth = self.parse_sum()
                     self.expect(")")
-                    return ctor(inner)
+                    return ctor(inner), depth + 1
                 raise TermSyntaxError(f"unknown function {value!r}", pos)
-            return Var(value)
+            return Var(value), 1
         raise TermSyntaxError(f"unexpected token {value!r}", pos)
 
     def parse_element_body(self) -> GammaElement:
@@ -253,11 +273,15 @@ class _Parser:
 
 
 def parse_term(text: str) -> Term:
+    """Parse a term; TermSyntaxError on bad input, or on a term nested
+    deeper than _MAX_DEPTH levels."""
     parser = _Parser(text)
-    t = parser.parse_sum()
+    t, depth = parser.parse_sum()
     tok = parser.peek()
     if tok is not None:
         raise TermSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    if depth > _MAX_DEPTH:
+        raise _too_deep(0)
     return t
 
 

@@ -7,7 +7,8 @@ import pytest
 from logcouple.cli import main
 from logcouple.element import parse_element
 from logcouple.psifun import component_to_json, fig2_set, psifunction_to_json, parse_linear
-from logcouple.sets import ThickenedSmall, UnaryRep, rep_to_json
+from logcouple.quotient import Phi
+from logcouple.sets import Interval, ThickenedSmall, UnaryRep, dim, product_rep, rep_from_json, rep_to_json
 
 
 @pytest.fixture
@@ -117,6 +118,9 @@ BAD_INPUTS = {
     "no-evals.json": {"evaluations": []},
     "no-value.json": {"evals": [{"args": [1]}]},
     "no-args.json": {"evals": [{"value": "[1]"}]},
+    "evals-number.json": {"evals": 5},
+    "value-number.json": {"evals": [{"args": [1], "value": 5}]},
+    "product-number.json": {"products": [5]},
 }
 
 
@@ -133,6 +137,12 @@ class TestInputErrors:
             (["recover", "--file", "no-evals.json"], "missing the key 'evals'"),
             (["recover", "--file", "no-value.json"], "missing the key 'value'"),
             (["recover", "--file", "no-args.json"], "missing the key 'args'"),
+            (["recover", "--file", "evals-number.json"], "'evals' must be a list"),
+            (["recover", "--file", "value-number.json"], "'value' must be a string"),
+            (["dim", "--rep", "product-number.json", "--phi", "s^3"], "list of components"),
+            (["crosscheck", "--rep", "product-number.json", "--phi", "s^3"], "list of components"),
+            (["eval", "(" * 1200 + "x" + ")" * 1200, "--env", "x=[]"], "nested deeper than"),
+            (["eval", "+".join(["x"] * 1500), "--env", "x=[]"], "nested deeper than"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):
@@ -215,6 +225,25 @@ class TestRepl:
         assert "[1, 1, 1]" in out  # s(x)
         assert "[0, 0, -1]" in out  # y - s(y)
         assert "x\telem\t[1, 1]" in out
+
+    def test_nary_rep(self, capsys, monkeypatch, tmp_path):
+        rep = product_rep(UnaryRep([ThickenedSmall([fig2_set()])]), UnaryRep([Interval(None, None)]))
+        (tmp_path / "nary.json").write_text(json.dumps(rep_to_json(rep)))
+        lines = iter(
+            [
+                "load n " + str(tmp_path / "nary.json"),
+                "env",
+                "save n " + str(tmp_path / "out.json"),
+                "dim n s^3",
+                "quit",
+            ]
+        )
+        monkeypatch.setattr("builtins.input", lambda *_: next(lines))
+        assert main(["repl"]) == 0
+        captured = capsys.readouterr()
+        assert "error" not in captured.err
+        assert captured.out.splitlines() == ["n\trep\t(rep)", str(dim(rep, Phi.parse("s^3")))]
+        assert rep_from_json(json.loads((tmp_path / "out.json").read_text())) == rep
 
     def test_error_recovery(self, capsys, monkeypatch):
         lines = iter(["p(", "[1] + [2]", "quit"])

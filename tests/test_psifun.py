@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -19,7 +20,7 @@ from logcouple.psifun import (
     ConstrainedImage,
     PsiFunction,
     _component_parts,
-    _has_nongamma_value,
+    _holds_other_point,
     component_from_json,
     component_to_json,
     contains,
@@ -102,6 +103,50 @@ def _profile_truncation(F, profile, k):
     return total.truncate(k)
 
 
+# The constrained step of the probe before the exact push test, moved here
+# verbatim from the library as part of the reference below.
+def _has_nongamma_value(
+    F: PsiFunction,
+    atoms: Tuple[Atom, ...],
+    pins: Dict[int, int],
+    capped: List[int],
+    k: int,
+    gamma: GammaElement,
+) -> bool:
+    """Exactly decide whether the constrained capped profile holds a point
+    different from gamma.  Witness-driven: returns True only on an explicit
+    instantiation with a different value."""
+    labels = F.labels
+    lower = {l: k for l in capped}
+    lower.update(pins)
+    upper = dict(pins)
+    least = solve_min(labels, atoms, lower=lower, upper=upper)
+    if least is None:
+        return False
+    if F.evaluate(least) != gamma:
+        return True
+    # push each variable off the least solution
+    for l in labels:
+        pushed = dict(lower)
+        pushed[l] = least[l] + 1
+        alt = solve_min(labels, atoms, lower=pushed, upper=upper)
+        if alt is not None and F.evaluate(alt) != gamma:
+            return True
+    # windowed sweep; beyond this window only engineered ties could differ
+    width = k + len(labels) + 3
+    ranges = []
+    for l in labels:
+        if l in pins:
+            ranges.append((pins[l],))
+        else:
+            ranges.append(tuple(range(k, width + 1)))
+    for combo in itertools.product(*ranges):
+        assignment = dict(zip(labels, combo))
+        if satisfies(assignment, atoms) and F.evaluate(assignment) != gamma:
+            return True
+    return False
+
+
 def reference_probe(gamma, X, K):
     """The per-profile probe loop that preceded the capped-profile sweep,
     kept verbatim as a differential oracle: every profile in {1..k}^I is
@@ -147,6 +192,70 @@ def reference_probe(gamma, X, K):
         if not found:
             return False
     return True
+
+
+def random_state(rng):
+    """A constrained capped-profile state: F of arity 1..3 with coefficients
+    in +-1, +-2, +-1/2; one to four atoms, differences with constants in
+    -6..6 (also as implicit equalities from two opposite diff_le atoms),
+    bounds in 1..6; depth k in 1..3 and each label pinned below k or capped
+    at k."""
+    arity = rng.randint(1, 3)
+    F = random_psifunction(rng, min_arity=arity, max_arity=arity, coeff_bound=2)
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        kinds = ["diff_le", "diff_le_pair", "diff_eq", "ge", "le"] if arity > 1 else ["ge", "le"]
+        kind = rng.choice(kinds)
+        if kind in ("ge", "le"):
+            atoms.append(Atom(kind, i=rng.randrange(arity), c=rng.randint(1, 6)))
+            continue
+        i, j = rng.sample(range(arity), 2)
+        c = rng.randint(-6, 6)
+        if kind == "diff_le_pair":
+            atoms += [Atom("diff_le", i=i, j=j, c=c), Atom("diff_le", i=j, j=i, c=-c)]
+        else:
+            atoms.append(Atom(kind, i=i, j=j, c=c))
+    k = rng.randint(1, 3)
+    pins = tuple((l, rng.randint(1, k - 1)) for l in F.labels if k > 1 and rng.random() < 0.3)
+    return F, tuple(atoms), pins, k
+
+
+def state_least(F, atoms, pins, k):
+    """The least solution with pins fixed and the other labels >= k."""
+    pinned = dict(pins)
+    return solve_min(F.labels, atoms, lower={**pinned, **{l: k for l in F.labels if l not in pinned}}, upper=pinned)
+
+
+def brute_other_point(F, atoms, pins, k, gamma):
+    """Independent oracle: a point with pins fixed, the other labels in
+    k..top and a value other than gamma, found by backtracking over labels
+    in order.  top is the largest index of the least solution plus twice
+    the largest constant plus 6."""
+    labels = F.labels
+    pinned = dict(pins)
+    least = state_least(F, atoms, pins, k)
+    top = max(least.values()) + 2 * max(abs(a.c) for a in atoms) + 6
+
+    def extend(assignment):
+        if len(assignment) == len(labels):
+            return F.evaluate(assignment) != gamma
+        l = labels[len(assignment)]
+        for v in (pinned[l],) if l in pinned else range(k, top + 1):
+            assignment[l] = v
+            known = [a for a in atoms if a.i in assignment and a.j in assignment.keys() | {None}]
+            if satisfies(assignment, known) and extend(assignment):
+                return True
+            del assignment[l]
+        return False
+
+    return extend({})
+
+
+def old_window_holds_solution(F, atoms, pins, k):
+    """Whether the window {k..k+|I|+3} of the old sweep meets the state."""
+    pinned = dict(pins)
+    ranges = [(pinned[l],) if l in pinned else range(k, k + len(F.labels) + 4) for l in F.labels]
+    return any(satisfies(dict(zip(F.labels, combo)), atoms) for combo in itertools.product(*ranges))
 
 
 class TestBasics:
@@ -325,6 +434,20 @@ class TestSolveMin:
         assert solve_min([0], atoms) is None
         assert solve_min([0], (Atom("le", i=0, c=9),)) == {0: 1}
 
+    def test_reverse_chain_needs_every_pass(self):
+        # n_{i+1} >= n_i + 1, listed last link first: each pass raises one more label
+        atoms = tuple(Atom("diff_le", i=i, j=i + 1, c=-1) for i in reversed(range(9)))
+        assert solve_min(range(10), atoms) == {i: i + 1 for i in range(10)}
+
+    def test_gain_cycle_without_upper_bound(self):
+        atoms = (
+            Atom("diff_eq", i=0, j=1, c=1),
+            Atom("diff_eq", i=1, j=2, c=1),
+            Atom("diff_le", i=2, j=0, c=-3),
+            Atom("ge", i=2, c=3),
+        )
+        assert solve_min([0, 1, 2], atoms) is None
+
     def test_satisfies(self):
         atoms = fig2_set().constraints
         assert satisfies({0: 2, 1: 1, 2: 4, 3: 3}, atoms)
@@ -379,6 +502,57 @@ class TestProbe:
                 assert got == reference_probe(gamma, X, K), (X, gamma, K)
                 trues += got
         assert trues > 100  # the oracle also confirms limit points, not only misses
+
+    @staticmethod
+    def _check_state(F, atoms, pins, k, gamma):
+        capped = sum(1 << i for i, l in enumerate(F.labels) if l not in dict(pins))
+        got = _holds_other_point(F, atoms, capped, pins, k, gamma)
+        assert got == brute_other_point(F, atoms, pins, k, gamma), (F, atoms, pins, k, gamma)
+        capped_labels = [l for l in F.labels if l not in dict(pins)]
+        assert got == _has_nongamma_value(F, atoms, dict(pins), capped_labels, k, gamma)
+        return got
+
+    def test_push_test_matches_wide_window(self):
+        rng = random.Random(17)
+        counts = {"true": 0, "false": 0, "constant": 0, "outside old window": 0}
+        for _ in range(1000):
+            F, atoms, pins, k = random_state(rng)
+            least = state_least(F, atoms, pins, k)
+            if least is None:
+                continue  # the sweep never yields an unsatisfiable state
+            counts["true" if self._check_state(F, atoms, pins, k, ZERO) else "false"] += 1
+            moves = self._check_state(F, atoms, pins, k, F.evaluate(least))
+            counts["true" if moves else "false"] += 1
+            counts["constant"] += not moves
+            counts["outside old window"] += not old_window_holds_solution(F, atoms, pins, k)
+        assert min(counts.values()) > 25, counts
+
+    def test_push_test_beyond_old_window(self):
+        # diff_eq with c = 8 puts every solution outside {k..k+|I|+3}
+        eq = (Atom("diff_eq", i=0, j=1, c=8), Atom("diff_eq", i=2, j=3, c=8))
+        cases = [
+            (fn("x0 - x1"), eq[:1], True),
+            (fn("x0 + x1"), eq[:1], True),
+            # tied at n0 = n2: the coefficients cancel at each offset
+            (fn("x0 + x1 - x2 - x3"), eq + (Atom("diff_eq", i=0, j=2, c=0),), False),
+            # tied at n2 = n1: the offsets differ, so the value moves
+            (fn("x0 + x1 - x2 - x3"), eq + (Atom("diff_eq", i=2, j=1, c=0),), True),
+            (fn("x0 - x1 + x2 - x3"), eq + (Atom("diff_le", i=1, j=3, c=-1),), True),
+            (fn("x0 - x1 + x2 - x3"), eq + (Atom("le", i=3, c=1), Atom("le", i=1, c=2)), True),
+            # an upper bound on x1 freezes every label
+            (fn("x0 + x1 - x2 - x3"), eq + (Atom("diff_eq", i=0, j=2, c=0), Atom("le", i=1, c=1)), False),
+        ]
+        for F, atoms, moves in cases:
+            assert not old_window_holds_solution(F, atoms, (), 1)
+            least = state_least(F, atoms, (), 1)
+            assert self._check_state(F, atoms, (), 1, F.evaluate(least)) is moves, (F, atoms)
+
+    def test_fig2_ties_move(self):
+        # both tied classes {x0, x1} and {x2, x3} have coefficient sum 0,
+        # yet the map is not constant: the rule holds per offset, not per class
+        X = fig2_set()
+        least = solve_min(X.base.labels, X.constraints)
+        assert self._check_state(X.base, X.constraints, (), 1, X.base.evaluate(least)) is True
 
 
 class TestRecover:

@@ -33,6 +33,7 @@ from logcouple.terms import (
     TermSyntaxError,
     UnboundVariableError,
     Var,
+    _MAX_DEPTH,
     eval_gensfun,
     eval_term,
     free_vars,
@@ -80,6 +81,26 @@ class TestParse:
             parse_term("x y")
         with pytest.raises(TermSyntaxError):
             parse_term("x @ y")
+
+    def test_depth_bound(self):
+        # parentheses, unary chains, function calls and sums each add a level
+        deep = [
+            "(" * 1200 + "x" + ")" * 1200,
+            "+".join(["x"] * 1500),
+            "-" * (_MAX_DEPTH + 1) + "x",
+            "psi(" * _MAX_DEPTH + "x" + ")" * _MAX_DEPTH,
+            "(" * (_MAX_DEPTH - 1) + "+".join(["x"] * 2) + ")" * (_MAX_DEPTH - 1),
+        ]
+        for text in deep:
+            with pytest.raises(TermSyntaxError, match="nested deeper"):
+                parse_term(text)
+        env = {"x": el("[1]")}
+        widest = "+".join(["x"] * _MAX_DEPTH)
+        assert eval_term(parse_term(widest), env) == el(f"[{_MAX_DEPTH}]")
+        assert print_term(parse_term(widest)) == " + ".join(["x"] * _MAX_DEPTH)
+        calls = "psi(" * (_MAX_DEPTH - 1) + "x" + ")" * (_MAX_DEPTH - 1)
+        assert print_term(parse_term(calls)) == calls
+        assert parse_term("(" * (_MAX_DEPTH - 1) + "x" + ")" * (_MAX_DEPTH - 1)) == Var("x")
 
 
 terms_st = st.deferred(
