@@ -43,6 +43,8 @@ __all__ = [
 
 Rational = Union[int, Fraction]
 
+_QZERO = Fraction(0)
+
 
 class _Infinity:
     """The adjoined top value: greater than every group element, absorbing."""
@@ -151,7 +153,7 @@ class GammaElement:
                 return q
             if i > n:
                 break
-        return Fraction(0)
+        return _QZERO
 
     @property
     def support(self) -> Tuple[int, ...]:
@@ -176,7 +178,12 @@ class GammaElement:
 
     def truncate(self, k: int) -> Tuple[Fraction, ...]:
         """The first k coordinates as a dense tuple (zeros kept)."""
-        return tuple(self.coord(i) for i in range(k))
+        dense = [_QZERO] * k
+        for i, q in self._coords:
+            if i >= k:
+                break
+            dense[i] = q
+        return tuple(dense)
 
     def items(self) -> Tuple[Tuple[int, Fraction], ...]:
         return self._coords
@@ -402,7 +409,9 @@ def _integration_index(x: GammaElement) -> int:
     # The unique n with x_i = 1 for i < n and x_n != 1; the integral of x
     # then has leading index exactly n.
     n = 0
-    while x.coord(n) == 1:
+    for i, q in x._coords:
+        if i != n or q != 1:
+            break
         n += 1
     return n
 

@@ -18,6 +18,7 @@ Everything here is pure and immutable.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -435,12 +436,15 @@ def _zero_partitions(mask: int, msum) -> Iterable[List[int]]:
         sub = (sub - 1) & rest
 
 
-def _subset_sums(qs: Sequence[Fraction]) -> List[Fraction]:
-    """The sum of qs over every bit mask of positions, indexed by mask."""
-    msum = [Fraction(0)] * (1 << len(qs))
+def _subset_sums(qs: Sequence) -> list:
+    """The sum of qs over every nonempty bit mask of positions, indexed by
+    mask, in the type of qs (Fractions or integers); msum[0] is 0."""
+    msum = [0] * (1 << len(qs))
     for mask in range(1, len(msum)):
-        low_i = (mask & -mask).bit_length() - 1
-        msum[mask] = msum[mask ^ (1 << low_i)] + qs[low_i]
+        low = mask & -mask
+        rest = mask ^ low
+        q = qs[low.bit_length() - 1]
+        msum[mask] = msum[rest] + q if rest else q
     return msum
 
 
@@ -555,9 +559,27 @@ def contains(X, gamma: GammaElement) -> bool:
 # -- capped index profiles -----------------------------------------------------
 
 
-def _capped_profiles(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, target=None) -> set:
-    """The capped index profiles of F at depth k, as (vector, capped mask,
-    pins) states.
+def _denominator(parts, k: int) -> int:
+    """The lcm of the denominators of every coefficient and of the first k
+    offset coordinates of the components in parts."""
+    dens = [q.denominator for F, _ in parts for _, q in F._coeffs]
+    dens += [q.denominator for F, _ in parts for i, q in F.offset.items() if i < k]
+    return math.lcm(*dens)
+
+
+def _scaled(vec: Sequence[Fraction], D: int) -> List[Optional[int]]:
+    """D times each coordinate of vec, or None where that is not an integer."""
+    out: List[Optional[int]] = []
+    for q in vec:
+        num, rem = divmod(q.numerator * D, q.denominator)
+        out.append(None if rem else num)
+    return out
+
+
+def _capped_sweep(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, target=None):
+    """The capped index profiles of F at depths 1..k: yields, after each
+    coordinate c = 0..k-1, the set of (vector, capped mask, pins) states
+    of depth c + 1, the vector as integer numerators over D.
 
     The first k coordinates of F(n) only depend on the capped profile
     min(n_i, k): coordinate c < k is offset_c + (sum of q_i over
@@ -565,8 +587,16 @@ def _capped_profiles(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, target=Non
     A_0 = I ⊇ A_1 ⊇ ... ⊇ A_{k-1}, and the sweep builds the vector one
     coordinate at a time, choosing A_c among the subsets of A_{c-1}; the
     labels that leave at step c are pinned to n_i = c.  The capped mask
-    is A_{k-1} (the labels with n_i >= k), as a bit mask over positions
-    in ``F.labels``; pins are (label, n) pairs.
+    is A_c (the labels with n_i > c), as a bit mask over positions in
+    ``F.labels``; pins are (label, n) pairs.  Nothing at step c depends on
+    k, so the states yielded at step c are those of the depth-(c + 1)
+    sweep, and one sweep serves every depth up to k.
+
+    D must be a multiple of the denominators of the coefficients and of
+    the first k offset coordinates (``_denominator``).  Every coordinate
+    is then an integer numerator over D: the subset-sum table, the offset
+    and the target are scaled once, and states hash and add as integers.
+    A target coordinate outside (1/D)Z matches no state.
 
     Without atoms the pins are not kept, so chains that agree on the
     prefix and on the open mask merge, and the cost follows the number of
@@ -579,12 +609,13 @@ def _capped_profiles(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, target=Non
     """
     labels = F.labels
     n = len(labels)
-    msum = _subset_sums([q for _, q in F._coeffs])
-    offset = F.offset.truncate(k)
+    msum = _subset_sums([q.numerator * (D // q.denominator) for _, q in F._coeffs])
+    offset = _scaled(F.offset.truncate(k), D)
+    if target is not None:
+        target = _scaled(target, D)
 
-    def viable(state, c: int) -> bool:
-        prefix, open_mask, pins = state
-        if target is not None and prefix[c] != target[c]:
+    def keep(c: int, value: int, open_mask: int, pins) -> bool:
+        if target is not None and value != target[c]:
             return False
         if not atoms:
             return True
@@ -593,25 +624,26 @@ def _capped_profiles(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, target=Non
         return solve_min(labels, atoms, lower=lower, upper=dict(pins)) is not None
 
     full = (1 << n) - 1
-    start = ((offset[0] + msum[full],), full, ())  # A_0 = I, as every n_i >= 1
-    states = {start} if viable(start, 0) else set()
+    value = offset[0] + msum[full]  # A_0 = I, as every n_i >= 1
+    states = {((value,), full, ())} if keep(0, value, full, ()) else set()
+    yield states
     for c in range(1, k):
         grown = set()
         for prefix, open_mask, pins in states:
             sub = open_mask
             while True:
-                pinned = ()
+                value = offset[c] + msum[sub]
+                pinned = pins
                 if atoms:
                     left = open_mask ^ sub
                     pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
-                state = (prefix + (offset[c] + msum[sub],), sub, pinned)
-                if viable(state, c):
-                    grown.add(state)
+                if keep(c, value, sub, pinned):
+                    grown.add((prefix + (value,), sub, pinned))
                 if sub == 0:
                     break
                 sub = (sub - 1) & open_mask
         states = grown
-    return states
+        yield states
 
 
 # -- the limit-point probe ----------------------------------------------------
@@ -673,22 +705,32 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     """True iff for every k <= K some point of X other than gamma matches
     gamma on the first k coordinates.
 
-    The per-k check runs the capped-profile sweep of ``_capped_profiles``
-    with gamma.truncate(k) as its target, so a chain is cut at the first
-    coordinate where it leaves gamma, and constrained chains are cut as
-    soon as their partial difference system is unsatisfiable.  Each
-    surviving state is then asked for a point other than gamma."""
+    One capped-profile sweep per component (``_capped_sweep``) runs with
+    gamma.truncate(K) as its target and serves every depth: its states
+    after coordinate k - 1 are those of the depth-k sweep, so a chain is
+    cut at the first coordinate where it leaves gamma, and constrained
+    chains are cut as soon as their partial difference system is
+    unsatisfiable.  Each state at depth k is asked for a point other than
+    gamma.  A component's sweep only advances to depth k when the
+    components before it found no such point there."""
     if K < 1:
         raise ValueError("probe depth must be >= 1")
     parts = _component_parts(X)
-    return all(
-        any(
-            _holds_other_point(F, atoms, capped, pins, k, gamma)
-            for F, atoms in parts
-            for _, capped, pins in _capped_profiles(F, atoms, k, gamma.truncate(k))
-        )
-        for k in range(1, K + 1)
-    )
+    D = _denominator(parts, K)
+    target = gamma.truncate(K)
+    sweeps = [_capped_sweep(F, atoms, K, D, target) for F, atoms in parts]
+    depth = [0] * len(parts)  # depth of states[j], the last states sweeps[j] yielded
+    states: List[Optional[set]] = [None] * len(parts)
+    for k in range(1, K + 1):
+        for j, (F, atoms) in enumerate(parts):
+            while depth[j] < k:
+                states[j] = next(sweeps[j])
+                depth[j] += 1
+            if any(_holds_other_point(F, atoms, capped, pins, k, gamma) for _, capped, pins in states[j]):
+                break
+        else:
+            return False
+    return True
 
 
 # -- recovery from probe evaluations -------------------------------------------
@@ -719,7 +761,10 @@ def recover(evals: Iterable[Tuple[Sequence[int], GammaElement]]) -> PsiFunction:
                     raise ValueError("probe arguments must be psi points")
                 key.append(idx)
             else:
-                key.append(int(a))
+                try:
+                    key.append(int(a))
+                except TypeError:
+                    raise ValueError(f"probe arguments must be psi indices: {a!r}") from None
         key = tuple(key)
         if arity is None:
             arity = len(key)
@@ -941,6 +986,8 @@ def psifunction_to_json(F: PsiFunction) -> dict:
 
 
 def psifunction_from_json(obj: Mapping) -> PsiFunction:
+    if not isinstance(obj, Mapping):
+        raise ValueError("a component of an image union is a JSON object")
     coeffs = {}
     for name, q in obj.get("coeffs", {}).items():
         if not re.fullmatch(r"x\d+", name):
@@ -974,4 +1021,6 @@ def imageunion_to_json(X) -> list:
 def imageunion_from_json(data) -> List[Component]:
     if isinstance(data, Mapping):
         return [component_from_json(data)]
+    if not isinstance(data, (list, tuple)):
+        raise ValueError("an image union is a JSON object or a list of objects")
     return [component_from_json(obj) for obj in data]

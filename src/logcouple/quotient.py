@@ -7,7 +7,7 @@ truncation.  Images of small sets in these quotients are finite and are
 computed exactly from capped index profiles: the first k coordinates of a
 staircase sum only depend on min(n_i, k).  Coordinate c < k of F(n) is
 offset_c plus the sum of q_i over {i : n_i > c}, so a capped profile is a
-chain of label sets and ``psifun._capped_profiles`` sweeps the coordinates
+chain of label sets and ``psifun._capped_sweep`` sweeps the coordinates
 once, merging chains that agree on the prefix and on the labels still
 open; its cost follows the number of distinct vectors, not k^|I|.  For a
 constrained image a chain is pruned as soon as its partial difference
@@ -15,6 +15,15 @@ system (open labels at least c + 1, left labels pinned) is unsatisfiable;
 completions only tighten that system, so nothing satisfiable is lost, and
 at the last coordinate the test is exactly the satisfiability of the full
 capped profile.
+
+The sweep carries every coordinate as an integer numerator over one
+common denominator D, the lcm of the denominators of all coefficients and
+of the first k offset coordinates of every component, so the vectors of
+all components are unioned as integer tuples.  ``project_set`` makes
+Fractions only for the distinct vectors it returns, one per distinct
+value, and ``count_function`` makes none.  The limit-point probe
+(``psifun.limit_point_probe``) runs the same sweep once per component for
+all depths up to its own.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .element import GammaElement, GammaExt, INF, format_rational, psi_point
-from .psifun import _capped_profiles, _component_parts
+from .psifun import _capped_sweep, _component_parts, _denominator
 
 __all__ = [
     "Phi",
@@ -108,19 +117,37 @@ def project(gamma: GammaElement, k: int) -> TruncatedVector:
     return gamma.truncate(k)
 
 
+def _scaled_projection(X, k: int) -> Tuple[Set[Tuple[int, ...]], int]:
+    """The vectors of ``project_set`` as integer numerators over one
+    common denominator D of all components, and D."""
+    if k < 1:
+        raise ValueError("projection depth must be >= 1")
+    parts = _component_parts(X)
+    D = _denominator(parts, k)
+    vectors: Set[Tuple[int, ...]] = set()
+    for F, atoms in parts:
+        for states in _capped_sweep(F, atoms, k, D):
+            pass  # only the states of the last coordinate are the depth-k ones
+        vectors.update(vec for vec, _, _ in states)
+    return vectors, D
+
+
 def project_set(X, k: int) -> Set[TruncatedVector]:
     """The exact finite projection of an image union or constrained image:
     the vectors of the capped-profile sweep of each component (a cap
     meaning "at least k"), constrained chains pruned as soon as their
-    difference system is unsatisfiable."""
-    if k < 1:
-        raise ValueError("projection depth must be >= 1")
-    return {vec for F, atoms in _component_parts(X) for vec, _, _ in _capped_profiles(F, atoms, k)}
+    difference system is unsatisfiable.  The sweep works on integer
+    numerators; a Fraction is made once per distinct coordinate value of
+    the distinct vectors returned."""
+    vectors, D = _scaled_projection(X, k)
+    value = {v: Fraction(v, D) for v in {v for vec in vectors for v in vec}}
+    return {tuple(map(value.__getitem__, vec)) for vec in vectors}
 
 
 def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:
-    """Exact quotient cardinalities |projection at s^k0| for each k."""
-    return [(k, len(project_set(X, k))) for k in ks]
+    """Exact quotient cardinalities |projection at s^k0| for each k,
+    counted on the integer vectors without making a Fraction."""
+    return [(k, len(_scaled_projection(X, k)[0])) for k in ks]
 
 
 def closed_discrete_certificate(X, phi: Phi) -> Tuple[TruncatedVector, ...]:

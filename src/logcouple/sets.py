@@ -366,6 +366,8 @@ def _endpoint_to_json(v: Optional[GammaElement], side: str) -> str:
 
 
 def _endpoint_from_json(v: str, side: str) -> Optional[GammaElement]:
+    if not isinstance(v, str):
+        raise ValueError(f"interval endpoint {side!r} must be a string: {v!r}")
     if v in ("-inf", "+inf"):
         return None
     e = parse_element(v)
@@ -397,9 +399,10 @@ def _unary_component_from_json(obj: Mapping) -> UnaryComponent:
             _endpoint_from_json(obj["lo"], "lo"), _endpoint_from_json(obj["hi"], "hi")
         )
     if kind == "small":
-        return ThickenedSmall(
-            imageunion_from_json(obj["core"]), Phi.parse(obj.get("thicken", "inf"))
-        )
+        thicken = obj.get("thicken", "inf")
+        if not isinstance(thicken, str):
+            raise ValueError(f"'thicken' must be a scale string such as \"s^3\" or \"inf\": {thicken!r}")
+        return ThickenedSmall(imageunion_from_json(obj["core"]), Phi.parse(thicken))
     raise ValueError(f"unknown component kind {kind!r}")
 
 
@@ -424,7 +427,10 @@ def rep_to_json(rep: Rep) -> dict:
 def rep_from_json(obj: Mapping) -> Rep:
     if not isinstance(obj, Mapping) or not isinstance(obj.get("products"), list):
         raise ValueError('a definable-set rep is a JSON object with a "products" list')
-    arity = int(obj.get("arity", 1))
+    try:
+        arity = int(obj.get("arity", 1))
+    except TypeError:
+        raise ValueError(f"'arity' of a definable-set rep must be an integer: {obj['arity']!r}") from None
     products = obj["products"]
     if not all(isinstance(product, list) for product in products):
         raise ValueError("each product of a definable-set rep is a list of components")

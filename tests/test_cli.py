@@ -121,6 +121,11 @@ BAD_INPUTS = {
     "evals-number.json": {"evals": 5},
     "value-number.json": {"evals": [{"args": [1], "value": 5}]},
     "product-number.json": {"products": [5]},
+    "core-number.json": {"products": [[{"kind": "small", "core": 5}]]},
+    "lo-number.json": {"products": [[{"kind": "interval", "lo": 5, "hi": "+inf"}]]},
+    "thicken-number.json": {"products": [[{"kind": "small", "core": [], "thicken": 5}]]},
+    "arity-list.json": {"arity": [1], "products": []},
+    "args-null.json": {"evals": [{"args": [None], "value": "[1]"}]},
 }
 
 
@@ -143,6 +148,11 @@ class TestInputErrors:
             (["crosscheck", "--rep", "product-number.json", "--phi", "s^3"], "list of components"),
             (["eval", "(" * 1200 + "x" + ")" * 1200, "--env", "x=[]"], "nested deeper than"),
             (["eval", "+".join(["x"] * 1500), "--env", "x=[]"], "nested deeper than"),
+            (["dim", "--rep", "core-number.json", "--phi", "s^3"], "image union is a JSON object"),
+            (["dim", "--rep", "lo-number.json", "--phi", "s^3"], "endpoint 'lo' must be a string"),
+            (["dim", "--rep", "thicken-number.json", "--phi", "s^3"], "'thicken' must be a scale string"),
+            (["dim", "--rep", "arity-list.json", "--phi", "s^3"], "'arity' of a definable-set rep"),
+            (["recover", "--file", "args-null.json"], "probe arguments must be psi indices"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

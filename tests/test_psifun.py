@@ -20,6 +20,7 @@ from logcouple.psifun import (
     ConstrainedImage,
     PsiFunction,
     _component_parts,
+    _denominator,
     _holds_other_point,
     component_from_json,
     component_to_json,
@@ -502,6 +503,37 @@ class TestProbe:
                 assert got == reference_probe(gamma, X, K), (X, gamma, K)
                 trues += got
         assert trues > 100  # the oracle also confirms limit points, not only misses
+
+    def test_matches_per_profile_reference_deep(self):
+        # depths 6..8, where one sweep serves all depths; the gammas include
+        # points moved by a seventh or an eleventh at coordinate 2 or 3,
+        # mostly outside (1/D)Z for the union's common denominator D
+        rng = random.Random(23)
+        trues = off_grid = constrained_trues = 0
+        for _ in range(60):
+            X = []
+            for _ in range(rng.randint(1, 2)):
+                F = random_psifunction(rng, max_arity=2 if X else 3, coeff_bound=3)
+                coeffs = F.coeffs
+                if len(coeffs) >= 2 and rng.random() < 0.7:
+                    coeffs[1] = -coeffs[0]  # a zero-sum pair, so limit points exist
+                    F = PsiFunction(coeffs, F.offset)
+                if F.labels and rng.random() < 0.5:
+                    X.append(ConstrainedImage(F, random_atoms(rng, len(F.labels))))
+                else:
+                    X.append(F)
+            plain = [comp for comp in X if isinstance(comp, PsiFunction)]
+            gammas = [ZERO] + sample_points(X, 2) + sample_points(derived_set(plain), 2)
+            gammas += [g + unit(rng.randint(2, 3)) * Fraction(1, rng.choice([7, 11])) for g in gammas[:2]]
+            for gamma in gammas:
+                K = rng.randint(6, 8)
+                got = limit_point_probe(gamma, X, K)
+                assert got == reference_probe(gamma, X, K), (X, gamma, K)
+                trues += got
+                constrained_trues += got and len(plain) < len(X)
+                D = _denominator(_component_parts(X), K)
+                off_grid += any(D % q.denominator for _, q in gamma.items())
+        assert trues > 40 and constrained_trues > 10 and off_grid > 40, (trues, constrained_trues, off_grid)
 
     @staticmethod
     def _check_state(F, atoms, pins, k, gamma):

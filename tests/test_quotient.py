@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcouple.element import ZERO, parse_element, psi, psi_point, compare
+from logcouple.element import ZERO, GammaElement, parse_element, psi, psi_point, compare
 from logcouple.psifun import (
     Atom,
     ConstrainedImage,
@@ -175,6 +175,35 @@ class TestProjectSet:
                 want = brute_project_set([comp], k, max(k, 3) + arity if constrained else k)
                 assert got == want, (comp, getattr(comp, "constraints", ()), k)
 
+    def test_unions_with_different_denominators(self):
+        # each component draws its coefficient and offset denominators from
+        # its own set, so the union's common denominator is in general a
+        # proper multiple of each component's own
+        dens = ([1, 2, 4], [3, 9], [5, 7])
+        rng = random.Random(41)
+        for case in range(30):
+            X, constrained_arities = [], []
+            for j in range(2 + case % 2):
+                arity = rng.randint(0, 3)
+                coeffs = {
+                    i: Fraction(rng.choice([n for n in range(-4, 5) if n]), rng.choice(dens[j]))
+                    for i in range(arity)
+                }
+                offset = GammaElement(
+                    (i, Fraction(rng.randint(-3, 3), rng.choice(dens[j]))) for i in rng.sample(range(5), rng.randint(0, 3))
+                )
+                comp = F = PsiFunction(coeffs, offset)
+                if arity and rng.random() < 0.5:
+                    comp = ConstrainedImage(F, random_atoms(rng, arity))
+                    constrained_arities.append(arity)
+                X.append(comp)
+            for k in range(1, 5):
+                got = project_set(X, k)
+                window = max([k] + [max(k, 3) + a for a in constrained_arities])
+                assert got == brute_project_set(X, k, window), (X, k)
+                assert all(type(q) is Fraction for vec in got for q in vec)
+                assert all(len(vec) == k for vec in got)
+
 
 class TestCount:
     def test_fig2_polynomial(self):
@@ -188,6 +217,21 @@ class TestCount:
     def test_psi_counts(self):
         table = count_function([parse_linear("x0")], range(1, 7))
         assert table == [(k, k) for k in range(1, 7)]
+
+    def test_equals_size_of_project_set(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            X = []
+            for _ in range(rng.randint(1, 3)):
+                arity = rng.randint(0, 3)
+                coeffs = {
+                    i: Fraction(rng.choice([n for n in range(-4, 5) if n]), rng.randint(1, 5)) for i in range(arity)
+                }
+                offset = GammaElement((i, Fraction(rng.randint(-3, 3), rng.randint(1, 5))) for i in range(rng.randint(0, 4)))
+                F = PsiFunction(coeffs, offset)
+                X.append(ConstrainedImage(F, random_atoms(rng, arity)) if arity and rng.random() < 0.5 else F)
+            ks = range(1, 6)
+            assert count_function(X, ks) == [(k, len(project_set(X, k))) for k in ks], X
 
     def test_fit(self):
         table = count_function(fig2_set(), range(1, 9))
