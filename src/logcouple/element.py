@@ -9,6 +9,17 @@ the successor/predecessor pair, and a distinguished top value ``INF``
 that makes every primitive total.
 
 All values are immutable and all operations are pure.
+
+An element stores its coordinates as a canonical tuple of (index, value)
+pairs: sorted by index, no zero value, every value a ``Fraction``.  The
+public constructor ``GammaElement(...)`` accepts any pairs and validates
+and normalises them.  The private ``_element(coords)`` wraps a tuple that
+is already canonical and checks nothing; only this module and
+``PsiFunction.evaluate`` call it, and only with tuples derived from
+canonical ones (a merge of two sorted tuples that drops zero sums, a
+negation, a product with a nonzero ``Fraction``, the staircase point
+E_n, a staircase of running sums that skips zero ones).  Everything
+else goes through the public constructor.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 _QZERO = Fraction(0)
+_QONE = Fraction(1)
 
 
 class _Infinity:
@@ -192,43 +204,28 @@ class GammaElement:
 
     def __add__(self, other: object):
         if isinstance(other, GammaElement):
-            acc = dict(self._coords)
-            for n, q in other._coords:
-                s = acc.get(n, Fraction(0)) + q
-                if s:
-                    acc[n] = s
-                else:
-                    acc.pop(n, None)
-            return GammaElement(acc)
+            return _element(_merge(self._coords, other._coords, False))
         if other is INF:
             return INF
         return NotImplemented
 
     def __sub__(self, other: object):
         if isinstance(other, GammaElement):
-            acc = dict(self._coords)
-            for n, q in other._coords:
-                s = acc.get(n, Fraction(0)) - q
-                if s:
-                    acc[n] = s
-                else:
-                    acc.pop(n, None)
-            out = GammaElement.__new__(GammaElement)
-            out._coords = tuple(sorted(acc.items()))
-            return out
+            return _element(_merge(self._coords, other._coords, True))
         if other is INF:
             return INF
         return NotImplemented
 
     def __neg__(self) -> "GammaElement":
-        return GammaElement((n, -q) for n, q in self._coords)
+        return _element(tuple((n, -q) for n, q in self._coords))
 
     def __mul__(self, q: object):
         if isinstance(q, (int, Fraction)):
-            q = Fraction(q)
             if not q:
-                return GammaElement()
-            return GammaElement((n, q * c) for n, c in self._coords)
+                return ZERO
+            if not isinstance(q, Fraction):
+                q = Fraction(q)
+            return _element(tuple((n, q * c) for n, c in self._coords))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -308,6 +305,40 @@ class GammaElement:
 
 GammaExt = Union[GammaElement, _Infinity]
 
+
+def _element(coords: Tuple[Tuple[int, Fraction], ...]) -> GammaElement:
+    """The trusted constructor: wrap a coordinate tuple that is already
+    canonical (see the module docstring) without checking it."""
+    out = object.__new__(GammaElement)
+    out._coords = coords
+    return out
+
+
+def _merge(a, b, negate: bool) -> Tuple[Tuple[int, Fraction], ...]:
+    """The canonical coordinates of a + b, or of a - b if negate, for
+    canonical coordinate tuples a and b: one pass over both."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        na, qa = a[i]
+        nb, qb = b[j]
+        if na < nb:
+            out.append(a[i])
+            i += 1
+        elif nb < na:
+            out.append((nb, -qb) if negate else b[j])
+            j += 1
+        else:
+            s = qa - qb if negate else qa + qb
+            if s:
+                out.append((na, s))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(((n, -q) for n, q in b[j:]) if negate else b[j:])
+    return tuple(out)
+
+
 ZERO = GammaElement()
 
 
@@ -320,7 +351,7 @@ def psi_point(n: int) -> GammaElement:
     """The staircase point E_n = e_0 + ... + e_{n-1}; requires n >= 1."""
     if n < 1:
         raise ValueError("psi points are E_n with n >= 1")
-    return GammaElement((i, 1) for i in range(n))
+    return _element(tuple((i, _QONE) for i in range(n)))
 
 
 def psi_point_index(x: GammaExt) -> Optional[int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .element import (
     GammaElement,
     INF,
     ZERO,
+    _element,
     format_element,
     format_rational,
     parse_element,
@@ -137,7 +139,7 @@ class PsiFunction:
             if len(seq) != len(self._coeffs):
                 raise ValueError("assignment length does not match arity")
             assignment = {l: seq[i] for i, (l, _) in enumerate(self._coeffs)}
-        total = self.offset
+        drops = []
         for l, q in self._coeffs:
             n = assignment[l]
             if isinstance(n, GammaElement):
@@ -147,8 +149,21 @@ class PsiFunction:
                 n = idx
             if n < 1:
                 raise ValueError("psi indices start at 1")
-            total = total + psi_point(n) * q
-        return total
+            drops.append((operator.index(n), q))  # a non-integer index fails at its own label
+        # Coordinate c of sum q_l E_{n_l} is the sum of the q_l with n_l > c:
+        # walk the indices downwards, keeping that sum as a running total.
+        drops.sort(reverse=True)
+        coords = []
+        total = None
+        for n, q in drops:
+            if total:
+                coords.extend((c, total) for c in range(top - 1, n - 1, -1))
+            total = q if total is None else total + q
+            top = n
+        if total:
+            coords.extend((c, total) for c in range(top - 1, -1, -1))
+        coords.reverse()
+        return self.offset + _element(tuple(coords))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PsiFunction):
@@ -214,7 +229,19 @@ class Atom:
 
     @staticmethod
     def from_json(obj: Mapping) -> "Atom":
-        return Atom(kind=obj["kind"], i=int(obj["i"]), c=int(obj["c"]), j=int(obj["j"]) if "j" in obj else None)
+        if not isinstance(obj, Mapping):
+            raise ValueError("a constraint atom is a JSON object")
+        for key in ("kind", "i", "c"):
+            if key not in obj:
+                raise ValueError(f"a constraint atom is missing the key {key!r}")
+        fields = {}
+        for key in ("i", "j", "c"):
+            if key in obj:
+                try:
+                    fields[key] = int(obj[key])
+                except TypeError:
+                    raise ValueError(f"the key {key!r} of a constraint atom must be an integer") from None
+        return Atom(kind=obj["kind"], **fields)
 
 
 def satisfies(assignment: Mapping[int, int], atoms: Iterable[Atom]) -> bool:
@@ -792,11 +819,7 @@ def recover(evals: Iterable[Tuple[Sequence[int], GammaElement]]) -> PsiFunction:
     offset = base_val - psi_point(1) * sum(coeffs.values())
     F = PsiFunction(coeffs, offset)
     for key, value in table.items():
-        got = F.offset
-        for i, n in enumerate(key):
-            if i in coeffs:
-                got = got + psi_point(n) * coeffs[i]
-        if got != value:
+        if F.evaluate(dict(enumerate(key))) != value:
             raise ValueError("inconsistent evaluations")
     return F
 
@@ -988,12 +1011,18 @@ def psifunction_to_json(F: PsiFunction) -> dict:
 def psifunction_from_json(obj: Mapping) -> PsiFunction:
     if not isinstance(obj, Mapping):
         raise ValueError("a component of an image union is a JSON object")
+    named = obj.get("coeffs", {})
+    if not isinstance(named, Mapping):
+        raise ValueError("'coeffs' of a component must be a JSON object")
     coeffs = {}
-    for name, q in obj.get("coeffs", {}).items():
+    for name, q in named.items():
         if not re.fullmatch(r"x\d+", name):
             raise ValueError(f"variable names must look like x0, x1, ...: {name!r}")
         coeffs[int(name[1:])] = parse_rational(str(q))
-    offset = parse_element(obj.get("offset", "[]"))
+    offset = obj.get("offset", "[]")
+    if not isinstance(offset, str):
+        raise ValueError("'offset' of a component must be an element string")
+    offset = parse_element(offset)
     if offset is INF:
         raise ValueError("offset must be a group element")
     return PsiFunction(coeffs, offset)
@@ -1010,6 +1039,8 @@ def component_to_json(comp: Component) -> dict:
 def component_from_json(obj: Mapping) -> Component:
     F = psifunction_from_json(obj)
     if "constraints" in obj:
+        if not isinstance(obj["constraints"], (list, tuple)):
+            raise ValueError("'constraints' of a component must be a list of atoms")
         return ConstrainedImage(F, tuple(Atom.from_json(a) for a in obj["constraints"]))
     return F
 

@@ -33,12 +33,13 @@ from .psifun import (
     Component,
     ConstrainedImage,
     PsiFunction,
+    _scaled,
     component_to_json,
     contains as image_contains,
     d_rank,
     imageunion_from_json,
 )
-from .quotient import PHI_INF, Phi, in_delta, project, project_set
+from .quotient import PHI_INF, Phi, _scaled_projection, in_delta, project, project_set
 
 __all__ = [
     "NEG_DIM",
@@ -124,8 +125,12 @@ class ThickenedSmall:
 
     def contains(self, x: GammaElement) -> bool:
         if self.thicken.is_finite:
+            # project(x, k) in project_set(core, k), tested on the integer
+            # numerators over the projection's denominator D; a coordinate
+            # outside (1/D)Z scales to None, which no vector holds
             k = self.thicken.k
-            return project(x, k) in project_set(self.core, k)
+            vectors, D = _scaled_projection(self.core, k)
+            return tuple(_scaled(project(x, k), D)) in vectors
         return image_contains(self.core, x)
 
 

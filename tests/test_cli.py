@@ -126,6 +126,12 @@ BAD_INPUTS = {
     "thicken-number.json": {"products": [[{"kind": "small", "core": [], "thicken": 5}]]},
     "arity-list.json": {"arity": [1], "products": []},
     "args-null.json": {"evals": [{"args": [None], "value": "[1]"}]},
+    "coeffs-number.json": {"coeffs": 5},
+    "offset-number.json": {"coeffs": {"x0": "1"}, "offset": 5},
+    "constraints-number.json": {"coeffs": {"x0": "1"}, "constraints": 5},
+    "atom-number.json": {"coeffs": {"x0": "1"}, "constraints": [5]},
+    "atom-i-null.json": {"coeffs": {"x0": "1"}, "constraints": [{"kind": "ge", "i": None, "c": 1}]},
+    "atom-no-c.json": {"coeffs": {"x0": "1"}, "constraints": [{"kind": "ge", "i": 0}]},
 }
 
 
@@ -153,6 +159,12 @@ class TestInputErrors:
             (["dim", "--rep", "thicken-number.json", "--phi", "s^3"], "'thicken' must be a scale string"),
             (["dim", "--rep", "arity-list.json", "--phi", "s^3"], "'arity' of a definable-set rep"),
             (["recover", "--file", "args-null.json"], "probe arguments must be psi indices"),
+            (["count", "--file", "coeffs-number.json", "--k", "1..2"], "'coeffs' of a component"),
+            (["count", "--file", "offset-number.json", "--k", "1..2"], "'offset' of a component"),
+            (["count", "--file", "constraints-number.json", "--k", "1..2"], "'constraints' of a component"),
+            (["count", "--file", "atom-number.json", "--k", "1..2"], "constraint atom is a JSON object"),
+            (["count", "--file", "atom-i-null.json", "--k", "1..2"], "'i' of a constraint atom"),
+            (["count", "--file", "atom-no-c.json", "--k", "1..2"], "missing the key 'c'"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

@@ -53,6 +53,28 @@ elements_st = st.builds(
     GammaElement.from_list, st.lists(fractions_st, min_size=0, max_size=6)
 )
 nonzero_elements_st = elements_st.filter(lambda x: not x.is_zero)
+# Sparse elements with wider indices, so sums also merge disjoint supports.
+sparse_elements_st = st.dictionaries(st.integers(0, 12), fractions_st, max_size=6).map(GammaElement)
+scalars_st = st.one_of(fractions_st, st.integers(-5, 5))
+
+
+def summed(*terms):
+    """The coordinate dict of sum q * x over (q, x) pairs, not normalised."""
+    acc = {}
+    for q, x in terms:
+        for n, c in x.items():
+            acc[n] = acc.get(n, 0) + q * c
+    return acc
+
+
+def assert_canonical_equal(got, coords):
+    """got is canonical and equals GammaElement(coords), built through the
+    validating constructor, in value, stored form and hash."""
+    want = GammaElement(coords)
+    indices = [n for n, _ in got.items()]
+    assert indices == sorted(set(indices))
+    assert all(type(q) is Fraction and q for _, q in got.items())
+    assert got == want and got.items() == want.items() and hash(got) == hash(want)
 
 
 class TestArithmeticAndOrder:
@@ -101,6 +123,36 @@ class TestArithmeticAndOrder:
         if a < b:
             assert a + unit(3) < b + unit(3)
             assert -b < -a
+
+
+class TestDerivedArithmetic:
+    """Sums, differences, negations and multiples are built from canonical
+    operands without revalidation; each must equal the element the
+    validating constructor builds from the summed coordinates."""
+
+    @given(sparse_elements_st, sparse_elements_st, st.lists(st.booleans(), max_size=6))
+    def test_sum_and_difference(self, a, b, cancel):
+        # b with some coordinates replaced by those of -a, so a + b cancels there
+        b = GammaElement({**dict(b.items()), **{n: -q for (n, q), c in zip(a.items(), cancel) if c}})
+        assert_canonical_equal(a + b, summed((1, a), (1, b)))
+        assert_canonical_equal(a - b, summed((1, a), (-1, b)))
+        assert_canonical_equal(b - a, summed((1, b), (-1, a)))
+
+    @given(sparse_elements_st, scalars_st)
+    def test_negation_and_multiples(self, a, q):
+        assert_canonical_equal(-a, summed((-1, a)))
+        assert_canonical_equal(a * q, summed((q, a)))
+        assert_canonical_equal(q * a, summed((q, a)))
+
+    @given(sparse_elements_st)
+    def test_cancellation_is_empty(self, x):
+        assert (x + (-x)).items() == ()
+        assert (x - x).items() == ()
+        assert (x * 0).items() == ()
+
+    def test_psi_point_is_canonical(self):
+        for n in range(1, 9):
+            assert_canonical_equal(psi_point(n), {i: 1 for i in range(n)})
 
 
 class TestPsi:

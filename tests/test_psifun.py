@@ -69,6 +69,17 @@ def brute_member(gamma, F, bound):
     return sols
 
 
+def reference_evaluate(F, assignment):
+    """Independent oracle for F.evaluate at label -> index: the offset plus
+    q times E_n summed coordinate by coordinate, built through the
+    validating GammaElement constructor."""
+    coords = dict(F.offset.items())
+    for label, q in F.coeffs.items():
+        for c in range(assignment[label]):
+            coords[c] = coords.get(c, 0) + q
+    return GammaElement(coords)
+
+
 def random_psifunction(rng, min_arity=0, max_arity=3, coeff_bound=9, offset_support=3):
     arity = rng.randint(min_arity, max_arity)
     coeffs = {}
@@ -285,6 +296,50 @@ class TestBasics:
         assert F.evaluate({0: 1, 1: 2}) == psi_point(1) * 2 - psi_point(2) + el("[1]")
         assert F.evaluate((1, 2)) == F.evaluate({0: 1, 1: 2})
         assert F.evaluate({0: psi_point(3), 1: 1}) == F.evaluate({0: 3, 1: 1})
+
+    def test_evaluate_matches_reference(self):
+        rng = random.Random(53)
+        repeated = cancelled = 0
+        for _ in range(400):
+            F = random_psifunction(rng, max_arity=5)
+            labels = F.labels
+            if len(labels) >= 2 and rng.random() < 0.3:
+                # a zero-sum pair of labels with different denominators elsewhere
+                coeffs = F.coeffs
+                coeffs[labels[1]] = -coeffs[labels[0]]
+                F = PsiFunction(coeffs, F.offset)
+            spread = rng.choice([3, 12, 60])
+            args = {l: rng.randint(1, spread) for l in labels}
+            if len(labels) >= 2 and rng.random() < 0.4:
+                args[labels[-1]] = args[labels[0]]
+            repeated += len(set(args.values())) < len(args)
+            if rng.random() < 0.4:
+                # an offset that cancels the staircase sum on some coordinates
+                stairs = reference_evaluate(PsiFunction(F.coeffs), args)
+                offset = dict(F.offset.items())
+                offset.update((c, -q) for c, q in stairs.items() if rng.random() < 0.5)
+                F = PsiFunction(F.coeffs, GammaElement(offset))
+                cancelled += any(c not in dict(reference_evaluate(F, args).items()) for c, _ in stairs.items())
+            want = reference_evaluate(F, args)
+            for got in (
+                F.evaluate(args),
+                F.evaluate(tuple(args[l] for l in labels)),
+                F.evaluate({l: psi_point(n) for l, n in args.items()}),
+            ):
+                assert got.items() == want.items() and hash(got) == hash(want), (F, args)
+                assert all(type(q) is Fraction for _, q in got.items())
+        assert repeated > 100 and cancelled > 60
+
+    def test_evaluate_argument_errors(self):
+        F = fn("x0 - x1")
+        with pytest.raises(ValueError, match="psi indices start at 1"):
+            F.evaluate((2, 0))
+        with pytest.raises(ValueError, match="arguments must be psi points"):
+            F.evaluate((el("[1, 2]"), 1))
+        with pytest.raises(ValueError, match="assignment length"):
+            F.evaluate((1,))
+        with pytest.raises(KeyError):
+            F.evaluate({0: 1})
 
     def test_repr_parses_back(self):
         for text in ["x0 - x1", "2 x0 + 1/3 x2 + [0, -1]", "[5]", "x1"]:
@@ -611,6 +666,12 @@ class TestRecover:
         evals.append(((3, 3), f2.evaluate((3, 3))))
         with pytest.raises(ValueError):
             recover(evals)
+
+    def test_extra_evaluation_below_one_rejected(self):
+        hidden = parse_linear("x0 - 2x1")
+        evals = [(args, hidden.evaluate(args)) for args in recovery_probes(2)]
+        with pytest.raises(ValueError):
+            recover(evals + [((0, 1), ZERO)])
 
     def test_missing_probes_rejected(self):
         with pytest.raises(ValueError):

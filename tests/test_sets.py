@@ -1,8 +1,11 @@
 """Definable-set representations and dimension function tests."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from logcouple.element import ZERO, parse_element, psi_point
+from logcouple.element import ZERO, GammaElement, parse_element, psi_point
 from logcouple.psifun import (
     Atom,
     ConstrainedImage,
@@ -10,7 +13,7 @@ from logcouple.psifun import (
     fig2_set,
     parse_linear,
 )
-from logcouple.quotient import PHI_INF, Phi
+from logcouple.quotient import PHI_INF, Phi, project, project_set
 from logcouple.sets import (
     FULL_LINE,
     Interval,
@@ -28,6 +31,7 @@ from logcouple.sets import (
     sst_crosscheck,
     union,
 )
+from test_psifun import random_atoms, random_psifunction
 
 
 def el(text):
@@ -140,6 +144,33 @@ class TestMember:
         assert member(psi_point(3) + el("[0, 0, 0, 0, 1/7]"), rep)
         assert not member(psi_point(3) + el("[0, 1/7]"), rep)
         assert member(psi_point(6), rep)  # deep staircase points collapse at depth 4
+
+    def test_thickened_member_matches_project_set(self):
+        # contains tests membership on integer numerators; the oracle is the
+        # projection of x in the Fraction vectors of project_set
+        rng = random.Random(61)
+        hits = misses = off_grid = 0
+        for _ in range(40):
+            core = []
+            for _ in range(rng.randint(1, 3)):
+                F = random_psifunction(rng, max_arity=3, coeff_bound=6)
+                core.append(ConstrainedImage(F, random_atoms(rng, len(F.labels))) if F.labels and rng.random() < 0.5 else F)
+            for k in range(1, 5):
+                comp = ThickenedSmall(core, Phi(k))
+                vectors = project_set(core, k)
+                points = [GammaElement(enumerate(vec)) + GammaElement({k + 1: rng.randint(-3, 3)}) for vec in vectors]
+                points += [GammaElement({c: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for c in range(k)}) for _ in range(5)]
+                # move one coordinate of a member by 1/11 or 1/13: outside (1/D)Z
+                for vec in list(vectors)[:5]:
+                    c = rng.randrange(k + 2)
+                    points.append(GammaElement(enumerate(vec)) + GammaElement({c: Fraction(1, rng.choice([11, 13]))}))
+                for x in points:
+                    want = project(x, k) in vectors
+                    assert comp.contains(x) == want, (core, k, x)
+                    hits += want
+                    misses += not want
+                    off_grid += any(q.denominator % 11 == 0 or q.denominator % 13 == 0 for q in project(x, k))
+        assert hits > 100 and misses > 100 and off_grid > 100
 
     def test_unthickened_member(self):
         rep = UnaryRep([ThickenedSmall([parse_linear("x0 - x1")])])
