@@ -211,7 +211,7 @@ def _cmd_project_set(args) -> int:
     ks = _parse_k_range(args.k)
     if len(ks) != 1:
         raise CliError("project-set takes a single k")
-    vectors = sorted(project_set(union, ks[0]))
+    vectors = list(project_set(union, ks[0]))
     _emit(
         args,
         {"k": ks[0], "vectors": [[str(q) for q in v] for v in vectors]},

@@ -40,6 +40,7 @@ __all__ = [
     "format_element",
     "parse_rational",
     "format_rational",
+    "json_int",
     "compare",
     "psi",
     "integral",
@@ -381,6 +382,15 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"denominator must be positive: {text!r}")
         return Fraction(int(num.strip()), d)
     return Fraction(int(text))
+
+
+def json_int(value: object, message: str) -> int:
+    """value if it is a JSON integer, else ValueError(f"{message}: {value!r}").
+    Booleans, floats and numeric strings are refused, not read as 1, truncated
+    or parsed."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{message}: {value!r}")
+    return value
 
 
 def format_rational(q: Rational) -> str:

@@ -32,6 +32,7 @@ from .element import (
     _element,
     format_element,
     format_rational,
+    json_int,
     parse_element,
     parse_rational,
     psi,
@@ -234,13 +235,11 @@ class Atom:
         for key in ("kind", "i", "c"):
             if key not in obj:
                 raise ValueError(f"a constraint atom is missing the key {key!r}")
-        fields = {}
-        for key in ("i", "j", "c"):
-            if key in obj:
-                try:
-                    fields[key] = int(obj[key])
-                except TypeError:
-                    raise ValueError(f"the key {key!r} of a constraint atom must be an integer") from None
+        fields = {
+            key: json_int(obj[key], f"the key {key!r} of a constraint atom must be an integer")
+            for key in ("i", "j", "c")
+            if key in obj
+        }
         return Atom(kind=obj["kind"], **fields)
 
 
@@ -788,10 +787,7 @@ def recover(evals: Iterable[Tuple[Sequence[int], GammaElement]]) -> PsiFunction:
                     raise ValueError("probe arguments must be psi points")
                 key.append(idx)
             else:
-                try:
-                    key.append(int(a))
-                except TypeError:
-                    raise ValueError(f"probe arguments must be psi indices: {a!r}") from None
+                key.append(json_int(a, "probe arguments must be psi indices"))
         key = tuple(key)
         if arity is None:
             arity = len(key)

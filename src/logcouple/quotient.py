@@ -19,22 +19,26 @@ capped profile.
 The sweep carries every coordinate as an integer numerator over one
 common denominator D, the lcm of the denominators of all coefficients and
 of the first k offset coordinates of every component, so the vectors of
-all components are unioned as integer tuples.  ``project_set`` makes
-Fractions only for the distinct vectors it returns, one per distinct
-value, and ``count_function`` makes none.  The limit-point probe
-(``psifun.limit_point_probe``) runs the same sweep once per component for
-all depths up to its own.
+all components are unioned as integer tuples.  ``project_set`` returns
+them, with D, as a read-only ``QuotientImage`` and makes no Fraction
+while it computes: its length is the count (``count_function``), a
+membership query is scaled by D and looked up among the integer vectors,
+and iteration yields sorted Fraction tuples, one Fraction per distinct
+value.  The limit-point probe (``psifun.limit_point_probe``) runs the
+same sweep once per component for all depths up to its own.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Set as AbcSet
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .element import GammaElement, GammaExt, INF, format_rational, psi_point
-from .psifun import _capped_sweep, _component_parts, _denominator
+from .psifun import _capped_sweep, _component_parts, _denominator, _scaled
 
 __all__ = [
     "Phi",
@@ -43,6 +47,7 @@ __all__ = [
     "in_delta",
     "project",
     "project_set",
+    "QuotientImage",
     "count_function",
     "closed_discrete_certificate",
     "fit_count_polynomial",
@@ -117,9 +122,78 @@ def project(gamma: GammaElement, k: int) -> TruncatedVector:
     return gamma.truncate(k)
 
 
-def _scaled_projection(X, k: int) -> Tuple[Set[Tuple[int, ...]], int]:
-    """The vectors of ``project_set`` as integer numerators over one
-    common denominator D of all components, and D."""
+class QuotientImage(AbcSet):
+    """A finite quotient image at depth k, as ``project_set`` returns it:
+    a read-only set of Fraction k-tuples, stored as the sweep's distinct
+    integer vectors over one common denominator D > 0.
+
+    ``len`` is O(1).  Iteration yields Fraction tuples in sorted order
+    (the integer tuples sorted, which is the same order since D > 0), one
+    Fraction per distinct value.  ``v in img`` scales a tuple of ints and
+    Fractions by D with ``psifun._scaled`` and looks it up among the
+    integer vectors, so a coordinate outside (1/D)Z matches nothing; any
+    other v (floats, for one) is looked up in ``set(img)``, so membership
+    agrees with that of the plain set for every hashable v.  Two images
+    compare their integer vectors, rescaled to the lcm of their
+    denominators; against any other set the ``collections.abc.Set`` rule
+    applies.  ``|``, ``&``, ``-`` and ``^`` return plain sets.  Defining
+    ``__eq__`` without ``__hash__`` leaves an image unhashable, like
+    ``set``.
+    """
+
+    __slots__ = ("_vectors", "_D", "_k")
+
+    def __init__(self, vectors: Set[Tuple[int, ...]], D: int, k: int):
+        # the set is taken over, not copied: nothing else may hold it
+        self._vectors = vectors
+        self._D = D
+        self._k = k
+
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        return set(it)
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+    def __iter__(self) -> Iterator[TruncatedVector]:
+        D = self._D
+        value = {x: Fraction(x, D) for x in {x for vec in self._vectors for x in vec}}
+        return iter([tuple(map(value.__getitem__, vec)) for vec in sorted(self._vectors)])
+
+    def __contains__(self, v: object) -> bool:
+        if type(v) is tuple:
+            if len(v) != self._k:
+                return False  # tuples of different lengths are never equal
+            if all(isinstance(x, (int, Fraction)) for x in v):
+                return tuple(_scaled(v, self._D)) in self._vectors
+        return v in set(self)
+
+    def _rescaled(self, factor: int) -> Set[Tuple[int, ...]]:
+        return {tuple(x * factor for x in vec) for vec in self._vectors}
+
+    def __eq__(self, other: object):
+        if not isinstance(other, QuotientImage):
+            return AbcSet.__eq__(self, other)
+        if self._D == other._D:
+            return self._vectors == other._vectors
+        if len(self) != len(other):
+            return False
+        L = math.lcm(self._D, other._D)
+        return self._rescaled(L // self._D) == other._rescaled(L // other._D)
+
+    def __repr__(self) -> str:
+        return f"QuotientImage(k={self._k}, [{', '.join(map(format_vector, self))}])"
+
+
+def project_set(X, k: int) -> QuotientImage:
+    """The exact finite projection of an image union or constrained image:
+    the vectors of the capped-profile sweep of each component (a cap
+    meaning "at least k"), constrained chains pruned as soon as their
+    difference system is unsatisfiable.  The components share one
+    denominator D, so their integer vectors are unioned as they come out
+    of the sweep and kept in a ``QuotientImage``; no Fraction is made
+    until the image is iterated."""
     if k < 1:
         raise ValueError("projection depth must be >= 1")
     parts = _component_parts(X)
@@ -129,25 +203,13 @@ def _scaled_projection(X, k: int) -> Tuple[Set[Tuple[int, ...]], int]:
         for states in _capped_sweep(F, atoms, k, D):
             pass  # only the states of the last coordinate are the depth-k ones
         vectors.update(vec for vec, _, _ in states)
-    return vectors, D
-
-
-def project_set(X, k: int) -> Set[TruncatedVector]:
-    """The exact finite projection of an image union or constrained image:
-    the vectors of the capped-profile sweep of each component (a cap
-    meaning "at least k"), constrained chains pruned as soon as their
-    difference system is unsatisfiable.  The sweep works on integer
-    numerators; a Fraction is made once per distinct coordinate value of
-    the distinct vectors returned."""
-    vectors, D = _scaled_projection(X, k)
-    value = {v: Fraction(v, D) for v in {v for vec in vectors for v in vec}}
-    return {tuple(map(value.__getitem__, vec)) for vec in vectors}
+    return QuotientImage(vectors, D, k)
 
 
 def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:
-    """Exact quotient cardinalities |projection at s^k0| for each k,
-    counted on the integer vectors without making a Fraction."""
-    return [(k, len(_scaled_projection(X, k)[0])) for k in ks]
+    """Exact quotient cardinalities |projection at s^k0| for each k: the
+    length of ``project_set``, which makes no Fraction."""
+    return [(k, len(project_set(X, k))) for k in ks]
 
 
 def closed_discrete_certificate(X, phi: Phi) -> Tuple[TruncatedVector, ...]:
@@ -156,7 +218,7 @@ def closed_discrete_certificate(X, phi: Phi) -> Tuple[TruncatedVector, ...]:
     order."""
     if not phi.is_finite:
         raise ValueError("certificates exist at finite scales only")
-    return tuple(sorted(project_set(X, phi.k)))
+    return tuple(project_set(X, phi.k))
 
 
 def fit_count_polynomial(

@@ -25,6 +25,7 @@ from .element import (
     INF,
     compare,
     format_element,
+    json_int,
     parse_element,
     psi,
     unit,
@@ -33,13 +34,12 @@ from .psifun import (
     Component,
     ConstrainedImage,
     PsiFunction,
-    _scaled,
     component_to_json,
     contains as image_contains,
     d_rank,
     imageunion_from_json,
 )
-from .quotient import PHI_INF, Phi, _scaled_projection, in_delta, project, project_set
+from .quotient import PHI_INF, Phi, in_delta, project, project_set
 
 __all__ = [
     "NEG_DIM",
@@ -125,12 +125,8 @@ class ThickenedSmall:
 
     def contains(self, x: GammaElement) -> bool:
         if self.thicken.is_finite:
-            # project(x, k) in project_set(core, k), tested on the integer
-            # numerators over the projection's denominator D; a coordinate
-            # outside (1/D)Z scales to None, which no vector holds
             k = self.thicken.k
-            vectors, D = _scaled_projection(self.core, k)
-            return tuple(_scaled(project(x, k), D)) in vectors
+            return project(x, k) in project_set(self.core, k)
         return image_contains(self.core, x)
 
 
@@ -432,10 +428,7 @@ def rep_to_json(rep: Rep) -> dict:
 def rep_from_json(obj: Mapping) -> Rep:
     if not isinstance(obj, Mapping) or not isinstance(obj.get("products"), list):
         raise ValueError('a definable-set rep is a JSON object with a "products" list')
-    try:
-        arity = int(obj.get("arity", 1))
-    except TypeError:
-        raise ValueError(f"'arity' of a definable-set rep must be an integer: {obj['arity']!r}") from None
+    arity = json_int(obj.get("arity", 1), "'arity' of a definable-set rep must be an integer")
     products = obj["products"]
     if not all(isinstance(product, list) for product in products):
         raise ValueError("each product of a definable-set rep is a list of components")

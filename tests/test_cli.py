@@ -96,6 +96,37 @@ class TestImageVerbs:
         code, out = run(capsys, "project-set", "--rep", fig2_file, "--k", "2")
         assert code == 0 and set(out.strip().splitlines()) == {"(0,0)", "(0,1)"}
 
+    def test_project_set_output_pinned(self, capsys, tmp_path):
+        # two components with denominators 2, 3 and 4 and negative coordinates;
+        # the order and spelling of the output are part of the interface
+        path = tmp_path / "mixed.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"coeffs": {"x0": "1", "x1": "-1/2"}, "offset": "[-1/3]"},
+                    {"coeffs": {"x0": "-2/3"}, "offset": "[0, 1/4]"},
+                ]
+            )
+        )
+        vectors = [
+            ["-2/3", "-5/12", "-2/3"],
+            ["-2/3", "-5/12", "0"],
+            ["-2/3", "1/4", "0"],
+            ["1/6", "-1/2", "-1/2"],
+            ["1/6", "-1/2", "0"],
+            ["1/6", "0", "0"],
+            ["1/6", "1/2", "-1/2"],
+            ["1/6", "1/2", "0"],
+            ["1/6", "1/2", "1/2"],
+            ["1/6", "1/2", "1"],
+            ["1/6", "1", "0"],
+            ["1/6", "1", "1"],
+        ]
+        code, out = run(capsys, "project-set", "--file", str(path), "--k", "3", "--json")
+        assert code == 0 and json.loads(out) == {"k": 3, "vectors": vectors}
+        code, out = run(capsys, "project-set", "--file", str(path), "--k", "3")
+        assert code == 0 and out.splitlines() == ["(" + ",".join(v) + ")" for v in vectors]
+
     def test_rejects_rep_json_for_count(self, capsys, fig2_rep_file):
         assert main(["count", "--rep", fig2_rep_file, "--k", "1..3"]) == 1
 
@@ -132,6 +163,24 @@ BAD_INPUTS = {
     "atom-number.json": {"coeffs": {"x0": "1"}, "constraints": [5]},
     "atom-i-null.json": {"coeffs": {"x0": "1"}, "constraints": [{"kind": "ge", "i": None, "c": 1}]},
     "atom-no-c.json": {"coeffs": {"x0": "1"}, "constraints": [{"kind": "ge", "i": 0}]},
+    "atom-c-float.json": {"coeffs": {"x0": "1"}, "constraints": [{"kind": "le", "i": 0, "c": 2.9}]},
+    "atom-c-bool.json": {"coeffs": {"x0": "1"}, "constraints": [{"kind": "le", "i": 0, "c": True}]},
+    "atom-c-string.json": {"coeffs": {"x0": "1"}, "constraints": [{"kind": "le", "i": 0, "c": "2"}]},
+    "atom-i-float.json": {"coeffs": {"x0": "1"}, "constraints": [{"kind": "ge", "i": 0.0, "c": 1}]},
+    "atom-j-bool.json": {
+        "coeffs": {"x0": "1", "x1": "-1"},
+        "constraints": [{"kind": "diff_le", "i": 0, "j": True, "c": 0}],
+    },
+    "atom-j-string.json": {
+        "coeffs": {"x0": "1", "x1": "-1"},
+        "constraints": [{"kind": "diff_le", "i": 0, "j": "1", "c": 0}],
+    },
+    "arity-float.json": {"arity": 1.0, "products": []},
+    "arity-bool.json": {"arity": True, "products": []},
+    "arity-string.json": {"arity": "1", "products": []},
+    "args-float.json": {"evals": [{"args": [1.5], "value": "[1]"}]},
+    "args-bool.json": {"evals": [{"args": [True], "value": "[1]"}]},
+    "args-string.json": {"evals": [{"args": ["1"], "value": "[1]"}]},
 }
 
 
@@ -165,6 +214,18 @@ class TestInputErrors:
             (["count", "--file", "atom-number.json", "--k", "1..2"], "constraint atom is a JSON object"),
             (["count", "--file", "atom-i-null.json", "--k", "1..2"], "'i' of a constraint atom"),
             (["count", "--file", "atom-no-c.json", "--k", "1..2"], "missing the key 'c'"),
+            (["count", "--file", "atom-c-float.json", "--k", "1..4"], "'c' of a constraint atom must be an integer: 2.9"),
+            (["count", "--file", "atom-c-bool.json", "--k", "1..4"], "'c' of a constraint atom must be an integer: True"),
+            (["count", "--file", "atom-c-string.json", "--k", "1..4"], "'c' of a constraint atom must be an integer: '2'"),
+            (["count", "--file", "atom-i-float.json", "--k", "1..2"], "'i' of a constraint atom must be an integer: 0.0"),
+            (["count", "--file", "atom-j-bool.json", "--k", "1..2"], "'j' of a constraint atom must be an integer: True"),
+            (["count", "--file", "atom-j-string.json", "--k", "1..2"], "'j' of a constraint atom must be an integer: '1'"),
+            (["dim", "--rep", "arity-float.json", "--phi", "s^3"], "'arity' of a definable-set rep must be an integer: 1.0"),
+            (["dim", "--rep", "arity-bool.json", "--phi", "s^3"], "'arity' of a definable-set rep must be an integer: True"),
+            (["dim", "--rep", "arity-string.json", "--phi", "s^3"], "'arity' of a definable-set rep must be an integer: '1'"),
+            (["recover", "--file", "args-float.json"], "probe arguments must be psi indices: 1.5"),
+            (["recover", "--file", "args-bool.json"], "probe arguments must be psi indices: True"),
+            (["recover", "--file", "args-string.json"], "probe arguments must be psi indices: '1'"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from logcouple.psifun import (
 from logcouple.quotient import (
     PHI_INF,
     Phi,
+    QuotientImage,
     closed_discrete_certificate,
     count_function,
     fit_count_polynomial,
@@ -117,6 +120,34 @@ class TestProject:
         assert format_vector((Fraction(1, 2), Fraction(0))) == "(1/2,0)"
 
 
+# disjoint sets of denominators, one per component of a union
+DENOMINATORS = ([1, 2, 4], [3, 9], [5, 7])
+
+
+def mixed_union(rng, size):
+    """size <= 3 components, component j with coefficient and offset
+    denominators from DENOMINATORS[j], random offsets and, about half of
+    the time, atoms; returns the union and the arities of its constrained
+    components."""
+    X, constrained_arities = [], []
+    for j in range(size):
+        arity = rng.randint(0, 3)
+        coeffs = {
+            i: Fraction(rng.choice([n for n in range(-4, 5) if n]), rng.choice(DENOMINATORS[j]))
+            for i in range(arity)
+        }
+        offset = GammaElement(
+            (i, Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS[j])))
+            for i in rng.sample(range(5), rng.randint(0, 3))
+        )
+        comp = F = PsiFunction(coeffs, offset)
+        if arity and rng.random() < 0.5:
+            comp = ConstrainedImage(F, random_atoms(rng, arity))
+            constrained_arities.append(arity)
+        X.append(comp)
+    return X, constrained_arities
+
+
 class TestProjectSet:
     def test_psi_truncations(self):
         got = project_set([parse_linear("x0")], 3)
@@ -179,30 +210,111 @@ class TestProjectSet:
         # each component draws its coefficient and offset denominators from
         # its own set, so the union's common denominator is in general a
         # proper multiple of each component's own
-        dens = ([1, 2, 4], [3, 9], [5, 7])
         rng = random.Random(41)
         for case in range(30):
-            X, constrained_arities = [], []
-            for j in range(2 + case % 2):
-                arity = rng.randint(0, 3)
-                coeffs = {
-                    i: Fraction(rng.choice([n for n in range(-4, 5) if n]), rng.choice(dens[j]))
-                    for i in range(arity)
-                }
-                offset = GammaElement(
-                    (i, Fraction(rng.randint(-3, 3), rng.choice(dens[j]))) for i in rng.sample(range(5), rng.randint(0, 3))
-                )
-                comp = F = PsiFunction(coeffs, offset)
-                if arity and rng.random() < 0.5:
-                    comp = ConstrainedImage(F, random_atoms(rng, arity))
-                    constrained_arities.append(arity)
-                X.append(comp)
+            X, constrained_arities = mixed_union(rng, 2 + case % 2)
             for k in range(1, 5):
                 got = project_set(X, k)
                 window = max([k] + [max(k, 3) + a for a in constrained_arities])
                 assert got == brute_project_set(X, k, window), (X, k)
                 assert all(type(q) is Fraction for vec in got for q in vec)
                 assert all(len(vec) == k for vec in got)
+
+
+# no index satisfies n_0 <= 0, so this component adds no vector to a union,
+# only the factor 11 to its common denominator
+EMPTY_ELEVENTHS = ConstrainedImage(PsiFunction({0: Fraction(1, 11)}, ZERO), (Atom("le", i=0, c=0),))
+
+
+class TestQuotientImage:
+    def test_matches_plain_set(self):
+        rng = random.Random(47)
+        odd = [5, 0.5, "abc", None, (), frozenset(), ("a",), (None, None)]
+        for case in range(30):
+            X, constrained_arities = mixed_union(rng, rng.randint(2, 3))
+            for k in range(1, 5):
+                img = project_set(X, k)
+                want = brute_project_set(X, k, max([k] + [max(k, 3) + a for a in constrained_arities]))
+                assert isinstance(img, QuotientImage)
+                assert len(img) == len(want)
+                # as sets of Fraction tuples and of int-valued tuples where possible
+                ints = {tuple(int(q) if q.denominator == 1 else q for q in v) for v in want}
+                for other in (want, frozenset(want), ints):
+                    assert img == other and other == img
+                    assert not (img != other) and not (other != img)
+                if want:
+                    fewer = set(want)
+                    fewer.pop()
+                    for other in (fewer, fewer | {(Fraction(1, 13),) * k}):
+                        assert img != other and other != img
+                        assert not (img == other) and not (other == img)
+                # membership agrees with the plain set on every kind of query
+                plain = set(img)
+                queries = list(odd)
+                for v in sorted(want)[:8]:
+                    moved = (v[0] + Fraction(1, 11),) + v[1:]
+                    queries += [v, moved, v + (Fraction(0),), v[:-1], tuple(float(q) for q in v)]
+                    queries += [tuple(int(q) if q.denominator == 1 else q for q in v)]
+                    queries += [("x",) + v[1:], v[:-1] + (None,), (float("nan"),) + v[1:], (float("inf"),) + v[1:]]
+                for v in queries:
+                    assert (v in img) == (v in plain), (X, k, v)
+                assert all(v in img for v in want)
+                # sorted iteration, every coordinate a Fraction
+                listed = list(img)
+                assert listed == sorted(want)
+                assert all(type(q) is Fraction for v in listed for q in v)
+
+    def test_float_and_int_queries(self):
+        img = project_set([PsiFunction({}, el("[1/2]")), PsiFunction({}, el("[1/3, 1]"))], 2)
+        assert (0.5, 0) in img and (0.5, 0.0) in img and (Fraction(1, 2), False) in img
+        assert (1 / 3, 1) not in img and (Fraction(1, 3), True) in img and (Fraction(1, 3), 1.0) in img
+        assert (0.5,) not in img and 0.5 not in img and (0.5, 0, 0) not in img
+        assert list(img) == [(Fraction(1, 3), Fraction(1)), (Fraction(1, 2), Fraction(0))]
+        # queries that equal a member although they are not plain tuples of
+        # ints, Fractions and floats
+        Point = namedtuple("Point", "a b")
+        for v in [Point(Fraction(1, 2), 0), (Decimal("0.5"), 0), (complex(0.5, 0), 0), (Fraction(1, 3), Decimal(1))]:
+            assert v in img and v in set(img)
+        for v in [Point(Fraction(1, 2), 1), (Decimal("0.3"), 0), (complex(0.5, 1), 0), ("1/2", 0)]:
+            assert v not in img and v not in set(img)
+
+    def test_equal_across_denominators(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            X, _ = mixed_union(rng, rng.randint(2, 3))
+            for k in range(1, 4):
+                img = project_set(X, k)
+                wider = project_set(X + [EMPTY_ELEVENTHS], k)
+                assert img._D != wider._D and wider._D % 11 == 0
+                assert img == wider and wider == img and not (img != wider)
+                assert list(img) == list(wider)
+                other = project_set(X + [PsiFunction({0: Fraction(1, 11)}, ZERO)], k)
+                assert other != img and img != other and not (img == other)
+        assert project_set([], 2) == project_set([EMPTY_ELEVENTHS], 3) == set()
+
+    def test_operators_return_plain_sets(self):
+        img = project_set([parse_linear("x0 - 1/2 x1")], 3)
+        same = project_set([parse_linear("x0 - 1/2 x1")], 3)
+        plain = set(img)
+        extra = {(Fraction(9),) * 3}
+        for result, expected in [
+            (img | extra, plain | extra),
+            (extra | img, plain | extra),
+            (img & plain, plain),
+            (plain & img, plain),
+            (img - extra, plain),
+            (plain - img, set()),
+            (img ^ extra, plain | extra),
+            (img | same, plain),
+            (img & same, plain),
+            (img - same, set()),
+        ]:
+            assert type(result) is set and result == expected
+        with pytest.raises(TypeError):
+            hash(img)
+        with pytest.raises(TypeError):
+            {img}
+        assert not hasattr(img, "add")
 
 
 class TestCount:
