@@ -30,7 +30,6 @@ same sweep once per component for all depths up to its own.
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Set as AbcSet
 from dataclasses import dataclass
@@ -133,11 +132,10 @@ class QuotientImage(AbcSet):
     Fractions by D with ``psifun._scaled`` and looks it up among the
     integer vectors, so a coordinate outside (1/D)Z matches nothing; any
     other v (floats, for one) is looked up in ``set(img)``, so membership
-    agrees with that of the plain set for every hashable v.  Two images
-    compare their integer vectors, rescaled to the lcm of their
-    denominators; against any other set the ``collections.abc.Set`` rule
-    applies.  ``|``, ``&``, ``-`` and ``^`` return plain sets.  Defining
-    ``__eq__`` without ``__hash__`` leaves an image unhashable, like
+    agrees with that of the plain set for every hashable v.  Equality is
+    the ``collections.abc.Set`` rule (equal lengths, then membership), so
+    images over different denominators compare by value; ``|``, ``&``,
+    ``-`` and ``^`` return plain sets, and an image is unhashable, like
     ``set``.
     """
 
@@ -168,19 +166,6 @@ class QuotientImage(AbcSet):
             if all(isinstance(x, (int, Fraction)) for x in v):
                 return tuple(_scaled(v, self._D)) in self._vectors
         return v in set(self)
-
-    def _rescaled(self, factor: int) -> Set[Tuple[int, ...]]:
-        return {tuple(x * factor for x in vec) for vec in self._vectors}
-
-    def __eq__(self, other: object):
-        if not isinstance(other, QuotientImage):
-            return AbcSet.__eq__(self, other)
-        if self._D == other._D:
-            return self._vectors == other._vectors
-        if len(self) != len(other):
-            return False
-        L = math.lcm(self._D, other._D)
-        return self._rescaled(L // self._D) == other._rescaled(L // other._D)
 
     def __repr__(self) -> str:
         return f"QuotientImage(k={self._k}, [{', '.join(map(format_vector, self))}])"

@@ -39,7 +39,7 @@ from .psifun import (
     d_rank,
     imageunion_from_json,
 )
-from .quotient import PHI_INF, Phi, in_delta, project, project_set
+from .quotient import PHI_INF, Phi, TruncatedVector, in_delta, project, project_set
 
 __all__ = [
     "NEG_DIM",
@@ -293,21 +293,24 @@ class CrosscheckReport:
     notes: Tuple[str, ...] = ()
 
 
-def _quotient_image_of_rep(rep: UnaryRep, k: int):
-    """The finite projection of a rep of dimension <= 0 at scale s^k0:
-    narrow intervals collapse to the image of an endpoint, thickenings
-    coarser than the scale vanish."""
-    out = set()
+def _quotient_image_of_rep(rep: UnaryRep, k: int) -> Tuple[TruncatedVector, ...]:
+    """The finite projection of a rep of dimension <= 0 at scale s^k0,
+    sorted: narrow intervals collapse to the image of an endpoint,
+    thickenings coarser than the scale vanish.  The cores of all
+    components are projected as one union, whose image iterates sorted."""
+    points = set()
+    cores: List[Component] = []
     for comp in rep.components:
         if comp.is_empty:
             continue
         if isinstance(comp, Interval):
             # dim <= 0 forces a bounded narrow interval, which the convex
             # subgroup collapses to one coset
-            out.add(project(comp.lo, k))
+            points.add(project(comp.lo, k))
         else:
-            out.update(project_set(comp.core, k))
-    return out
+            cores.extend(comp.core)
+    image = project_set(cores, k)
+    return tuple(sorted(points.union(image))) if points else tuple(image)
 
 
 def sst_crosscheck(rep: UnaryRep, phi: Phi) -> CrosscheckReport:
@@ -324,9 +327,8 @@ def sst_crosscheck(rep: UnaryRep, phi: Phi) -> CrosscheckReport:
     rank = None
     notes: List[str] = []
     if consistent and dim_a <= 0 and phi.is_finite:
-        image = _quotient_image_of_rep(rep, phi.k)
-        quotient_image = tuple(sorted(image))
-        quotient_size = len(image)
+        quotient_image = _quotient_image_of_rep(rep, phi.k)
+        quotient_size = len(quotient_image)
     if consistent and dim_a <= 0 and not phi.is_finite:
         cores: List[Component] = []
         symbolic = True

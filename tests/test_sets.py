@@ -219,6 +219,26 @@ class TestCrosscheck:
         assert report.consistent and report.dim_route_a == 0
         assert report.quotient_size == 1
 
+    def test_certificate_of_several_components(self):
+        # two cores over the denominators 2 and 3/5 and two narrow
+        # intervals, one of whose points is already in a core's image: the
+        # certificate is the sorted union, each vector once
+        k = 3
+        halves = ThickenedSmall([parse_linear("x0 - 1/2 x1")], Phi(6))
+        fifths = ThickenedSmall([PsiFunction({0: Fraction(1, 3)}, el("[-1/5]"))], Phi(5))
+        core_vectors = set(project_set(halves.core, k)) | set(project_set(fifths.core, k))
+        v = sorted(project_set(halves.core, k))[1]
+        inside, outside = GammaElement(enumerate(v)), el("[7, 1/7]")
+        width = el("[0, 0, 0, 0, 1]")
+        rep = UnaryRep([Interval(inside, inside + width), halves, Interval(outside, outside + width), fifths])
+        report = sst_crosscheck(rep, Phi(k))
+        assert report.consistent and report.dim_route_a == 0
+        expected = tuple(sorted(core_vectors | {v, project(outside, k)}))
+        assert report.quotient_image == expected
+        assert report.quotient_size == len(core_vectors) + 1
+        without_intervals = sst_crosscheck(UnaryRep([fifths, halves]), Phi(k))
+        assert without_intervals.quotient_image == tuple(sorted(core_vectors))
+
 
 class TestJson:
     def test_unary_round_trip(self):
