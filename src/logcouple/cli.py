@@ -138,21 +138,14 @@ def _primitive_cmd(fn):
     return run
 
 
-def _unconstrained(fn, args):
-    union = _load_union(args)
-    if any(isinstance(comp, ConstrainedImage) for comp in union):
-        raise CliError(f"{args.verb} needs unconstrained images: derived sets of constrained ones are not computed")
-    return fn(union)
-
-
 def _cmd_dset(args) -> int:
-    D = _unconstrained(derived_set, args)
+    D = derived_set(_load_union(args))
     _emit(args, imageunion_to_json(D), [repr(F) for F in D] or ["(empty)"])
     return 0
 
 
 def _cmd_drank(args) -> int:
-    r = _unconstrained(d_rank, args)
+    r = d_rank(_load_union(args))
     _emit(args, {"d_rank": r}, [str(r)])
     return 0
 

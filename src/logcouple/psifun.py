@@ -5,7 +5,9 @@ tuples of staircase points into the group, with nonzero rational
 coefficients.  Finite unions of their images are exactly the sets whose
 every quotient picture is degenerate, and they admit an exact derived-set
 calculus: the limit points of image(F) are the images of the restrictions
-F_{I\\J} over nonempty J with zero coefficient sum.
+F_{I\\J} over nonempty J with zero coefficient sum (under difference
+constraints, over those J that the constraints leave unbounded and that
+move F; see ``derived_set``).
 
 The membership solver exploits the staircase shape of E_n = e_0+...+e_{n-1}:
 coordinate drops of gamma - beta must be partitioned into exact sub-multiset
@@ -46,8 +48,6 @@ __all__ = [
     "ConstrainedImage",
     "ImageUnion",
     "MemberSolution",
-    "norm",
-    "restrict",
     "derived_set",
     "d_rank",
     "closure",
@@ -62,7 +62,6 @@ __all__ = [
     "solve_min",
     "satisfies",
     "sample_points",
-    "semantically_equal",
     "product_derived_step",
     "product_derived_direct",
     "product_contains",
@@ -191,14 +190,6 @@ class PsiFunction:
 
 
 ImageUnion = Sequence[PsiFunction]
-
-
-def norm(F: PsiFunction) -> Fraction:
-    return F.norm()
-
-
-def restrict(F: PsiFunction, J: Iterable[int]) -> PsiFunction:
-    return F.restrict(J)
 
 
 # -- difference constraints --------------------------------------------------
@@ -355,70 +346,95 @@ class ConstrainedImage:
 Component = Union[PsiFunction, ConstrainedImage]
 
 
+def _components(X) -> List[Component]:
+    if isinstance(X, (PsiFunction, ConstrainedImage)):
+        return [X]
+    return [C for comp in X for C in _components(comp)]
+
+
 def _component_parts(X) -> List[Tuple[PsiFunction, Tuple[Atom, ...]]]:
-    if isinstance(X, PsiFunction):
-        return [(X, ())]
-    if isinstance(X, ConstrainedImage):
-        return [(X.base, X.constraints)]
-    parts: List[Tuple[PsiFunction, Tuple[Atom, ...]]] = []
-    for comp in X:
-        parts.extend(_component_parts(comp))
-    return parts
-
-
-def _plain_components(X) -> List[PsiFunction]:
-    parts = _component_parts(X)
-    for _, atoms in parts:
-        if atoms:
-            raise TypeError("exact derived sets are only computed for unconstrained images")
-    return [F for F, _ in parts]
+    return [(C, ()) if isinstance(C, PsiFunction) else (C.base, C.constraints) for C in _components(X)]
 
 
 # -- derived sets ------------------------------------------------------------
 
 
-def derived_set(X) -> List[PsiFunction]:
-    """Exact derived set of a finite union of images: per component, the
-    union over nonempty zero-norm J of the restriction to the complement.
-    Components with identical data are merged."""
-    out: List[PsiFunction] = []
+def derived_set(X) -> List[Component]:
+    """Exact derived set of a finite union of images, plain or constrained.
+    Components with identical data are merged; components whose atoms have
+    no solution are skipped.
+
+    Let S be the solutions of a component's atoms.  Take distinct points
+    F(n^t), n^t in S, tending to gamma.  Pass to a subsequence on which the
+    labels of a set J tend to infinity and the others stay at m; J is
+    nonempty, as the points are distinct.  Once every n_j > c, coordinate c
+    of the J part sum_J q_j E_{n_j} is the sum of the q_j over J, so the
+    limit exists iff (i) that sum is 0, and then gamma = F_{I\\J}(m).  The
+    labels of J grow without bound on S only if (ii) no atom bounds one from
+    above: no ``le`` on J, no ``diff_le`` n_j - n_i <= c with j in J and i
+    outside J, no ``diff_eq`` across J.  The points differ, so (iii) the J
+    part is not 0 on every solution of the atoms within J.
+
+    Conversely, let J satisfy (i)-(iii), m solve the atoms within I\\J and p
+    solve those within J with a nonzero J part P(p).  By (ii) every other
+    atom bounds a J label from below.  With the sum over J zero, P(p + t) is
+    P(p) moved up t positions, so the points F(m, p + t) are distinct and
+    tend to F_{I\\J}(m); p + t solves the atoms within J, and for t large
+    the lower bounds hold too.  So the derived set is the union, over every
+    nonempty J with (i)-(iii), of F_{I\\J} under the atoms within I\\J, a
+    plain map when none remain.
+
+    (iii) is ``_holds_other_point`` on F restricted to J, which keeps the
+    offset, with all of J capped at depth 1 and the offset as gamma: one
+    ``solve_min`` and |J| unit pushes.  Without atoms (ii) and (iii) always
+    hold: a zero-sum J has two labels or more, and its J part has coordinate
+    1 equal to -q_j when n_j = 1 and the others are 2, so the rule is the
+    zero-sum rule."""
+    out: List[Component] = []
     seen = set()
-    for F in _plain_components(X):
+    for F, atoms in _component_parts(X):
         labels = F.labels
-        qs = F.coeffs
+        if solve_min(labels, atoms) is None:
+            continue
         n = len(labels)
+        msum = _subset_sums([q for _, q in F._coeffs])
         for mask in range(1, 1 << n):
-            J = [labels[i] for i in range(n) if mask >> i & 1]
-            if sum(qs[l] for l in J) == 0:
-                G = F.restrict(set(labels) - set(J))
-                key = (G._coeffs, G.offset)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(G)
+            if msum[mask]:
+                continue  # (i): the coefficients over J must sum to 0
+            J = {labels[i] for i in range(n) if mask >> i & 1}
+            if any(
+                (a.kind != "ge" and a.i in J and a.j not in J)
+                or (a.kind == "diff_eq" and a.j in J and a.i not in J)
+                for a in atoms
+            ):
+                continue  # (ii): an atom bounds a label of J from above
+            inside = tuple(a for a in atoms if a.i in J and (a.j is None or a.j in J))
+            if not _holds_other_point(F.restrict(J), inside, (1 << len(J)) - 1, (), 1, F.offset):
+                continue  # (iii): the J part is 0 on every solution
+            rest = tuple(a for a in atoms if a.i not in J and a.j not in J)
+            G = F.restrict(set(labels) - J)
+            G = ConstrainedImage(G, rest) if rest else G
+            if G not in seen:
+                seen.add(G)
+                out.append(G)
     return out
 
 
 def d_rank(X) -> int:
-    """Least n with the n-th derived set empty; at most 1 + max arity."""
-    current = _plain_components(X)
+    """Least n with the n-th derived set empty; at most 1 + max arity, as
+    every derived component drops a nonempty set of labels."""
     n = 0
-    while current:
-        current = derived_set(current)
+    while any(solve_min(F.labels, atoms) is not None for F, atoms in _component_parts(X)):
+        X = derived_set(X)
         n += 1
     return n
 
 
-def closure(X) -> List[PsiFunction]:
+def closure(X) -> List[Component]:
     """X together with its derived set (the topological closure)."""
-    comps = _plain_components(X)
-    out = list(comps)
-    have = {(F._coeffs, F.offset) for F in comps}
-    for G in derived_set(comps):
-        key = (G._coeffs, G.offset)
-        if key not in have:
-            have.add(key)
-            out.append(G)
-    return out
+    comps = _components(X)
+    have = set(comps)
+    return comps + [G for G in derived_set(comps) if G not in have]
 
 
 # -- membership: the staircase solver ----------------------------------------
@@ -716,7 +732,7 @@ def _holds_other_point(F: PsiFunction, atoms, capped: int, pins, k: int, gamma: 
     labels = F.labels
     upper = dict(pins)
     free = [l for i, l in enumerate(labels) if capped >> i & 1]
-    # never None: the sweep keeps only states whose system is satisfiable
+    # never None: the sweep and derived_set only ask about satisfiable states
     least = solve_min(labels, atoms, lower={**upper, **dict.fromkeys(free, k)}, upper=upper)
     if F.evaluate(least) != gamma:
         return True
@@ -863,7 +879,7 @@ def equilateral_max_clique(sample: Sequence[GammaElement], phi: GammaElement) ->
     return [points[i] for i in range(n) if best_mask >> i & 1]
 
 
-# -- sampling and semantic comparison -------------------------------------------
+# -- sampling ------------------------------------------------------------------
 
 
 def sample_points(X, count: int, max_rounds: int = 24) -> List[GammaElement]:
@@ -896,20 +912,6 @@ def sample_points(X, count: int, max_rounds: int = 24) -> List[GammaElement]:
     return out
 
 
-def semantically_equal(X, Y, samples: int = 24) -> bool:
-    """Set equality decided by mutual membership on canonical samples plus
-    d-rank agreement (presentations of the same image may differ)."""
-    if d_rank(X) != d_rank(Y):
-        return False
-    for p in sample_points(X, samples):
-        if not contains(Y, p):
-            return False
-    for p in sample_points(Y, samples):
-        if not contains(X, p):
-            return False
-    return True
-
-
 # -- products of closures --------------------------------------------------------
 
 
@@ -929,8 +931,8 @@ def product_derived_step(pairs):
 def product_derived_direct(A, C, k: int):
     """The k-th derived set of A x C assembled factorwise: the union of
     A^(m) x C^(n) over m + n = k."""
-    iterates_A = [list(_plain_components(A))]
-    iterates_C = [list(_plain_components(C))]
+    iterates_A = [_components(A)]
+    iterates_C = [_components(C)]
     for _ in range(k):
         iterates_A.append(derived_set(iterates_A[-1]))
         iterates_C.append(derived_set(iterates_C[-1]))

@@ -290,7 +290,6 @@ class CrosscheckReport:
     quotient_size: Optional[int] = None
     quotient_image: Optional[Tuple] = None
     rank: Optional[int] = None
-    notes: Tuple[str, ...] = ()
 
 
 def _quotient_image_of_rep(rep: UnaryRep, k: int) -> Tuple[TruncatedVector, ...]:
@@ -316,37 +315,22 @@ def _quotient_image_of_rep(rep: UnaryRep, k: int) -> Tuple[TruncatedVector, ...]
 def sst_crosscheck(rep: UnaryRep, phi: Phi) -> CrosscheckReport:
     """Compute the dimension by the structural rules and by the
     wide-interval scan; on small sets additionally produce the finite
-    quotient certificate (finite scale) or the derived-set rank (top
-    scale).  The routes must agree; a report with consistent=False is a
-    discrepancy certificate."""
+    quotient certificate (finite scale) or the derived-set rank of the
+    cores, plain or constrained (top scale).  The routes must agree; a
+    report with consistent=False is a discrepancy certificate."""
     dim_a = dim(rep, phi)
     dim_b = _dim_route_b(rep, phi)
     consistent = dim_a == dim_b
     quotient_size = None
     quotient_image = None
     rank = None
-    notes: List[str] = []
     if consistent and dim_a <= 0 and phi.is_finite:
         quotient_image = _quotient_image_of_rep(rep, phi.k)
         quotient_size = len(quotient_image)
     if consistent and dim_a <= 0 and not phi.is_finite:
-        cores: List[Component] = []
-        symbolic = True
-        for comp in rep.components:
-            if comp.is_empty:
-                continue
-            if isinstance(comp, Interval) or comp.thicken.is_finite:
-                symbolic = False  # cannot happen at dim <= 0; defensive
-                break
-            for c in comp.core:
-                if isinstance(c, ConstrainedImage):
-                    symbolic = False
-                    break
-                cores.append(c)
-        if symbolic:
-            rank = d_rank(cores)
-        else:
-            notes.append("derived-set rank skipped: constrained core")
+        # at the top scale a nonempty component of dimension <= 0 is an
+        # unthickened small set, so the cores make up the whole set
+        rank = d_rank([c for comp in rep.components if not comp.is_empty for c in comp.core])
     return CrosscheckReport(
         phi=phi,
         dim_route_a=dim_a,
@@ -355,7 +339,6 @@ def sst_crosscheck(rep: UnaryRep, phi: Phi) -> CrosscheckReport:
         quotient_size=quotient_size,
         quotient_image=quotient_image,
         rank=rank,
-        notes=tuple(notes),
     )
 
 

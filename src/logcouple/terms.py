@@ -12,6 +12,7 @@ live here too, together with their covering by affine maps.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .element import (
     format_element,
     format_rational,
     integral,
+    json_int,
     parse_element,
     parse_rational,
     pred,
@@ -423,10 +425,25 @@ class GenSFunction:
 
     @staticmethod
     def from_json(obj: Mapping) -> "GenSFunction":
+        if not isinstance(obj, Mapping):
+            raise ValueError("a generalized s-function is a JSON object")
+        terms = obj.get("terms", [])
+        if not isinstance(terms, list) or not all(isinstance(t, Mapping) for t in terms):
+            raise ValueError(f"'terms' of a generalized s-function must be a list of objects: {terms!r}")
+        offset = obj.get("offset", "[]")
+        if not isinstance(offset, str):
+            raise ValueError(f"'offset' of a generalized s-function must be an element string: {offset!r}")
         return GenSFunction(
-            int(obj["arity"]),
-            [(t["var"], t["shift"], parse_rational(str(t["coeff"]))) for t in obj.get("terms", [])],
-            parse_element(obj.get("offset", "[]")),
+            json_int(obj.get("arity"), "'arity' of a generalized s-function must be an integer"),
+            [
+                (
+                    json_int(t.get("var"), "'var' of a term must be an integer"),
+                    json_int(t.get("shift"), "'shift' of a term must be an integer"),
+                    parse_rational(str(t["coeff"])),
+                )
+                for t in terms
+            ],
+            parse_element(offset),
         )
 
 
@@ -450,7 +467,7 @@ def eval_gensfun(F: GenSFunction, args: Sequence) -> GammaExt:
                 raise ValueError("arguments must be psi points")
             points.append(a)
         else:
-            points.append(psi_point(int(a)))
+            points.append(psi_point(operator.index(a)))
     total: GammaExt = F.offset
     for i, k, q in F.terms:
         if not q:

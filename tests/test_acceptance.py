@@ -29,6 +29,8 @@ from logcouple.gen import (
 )
 from logcouple.identities import run_identity_suite, suite_passed
 from logcouple.psifun import (
+    Atom,
+    ConstrainedImage,
     PsiFunction,
     closure,
     contains,
@@ -48,7 +50,6 @@ from logcouple.psifun import (
     recovery_probes,
     sample_points,
     satisfies,
-    semantically_equal,
 )
 from logcouple.quotient import PHI_INF, Phi, count_function, project, project_set
 from logcouple.sets import (
@@ -62,6 +63,7 @@ from logcouple.sets import (
     sst_crosscheck,
     union,
 )
+from sampled_sets import sampled_equal
 
 
 @contextmanager
@@ -93,7 +95,7 @@ def test_criterion_2_fig2_chain():
         assert d_rank([F4]) == 3
         second = derived_set(derived_set([F4]))
         origin = [PsiFunction({}, ZERO)]
-        assert semantically_equal(second, origin)
+        assert sampled_equal(second, origin)
         assert contains(second, ZERO)
         rng = random.Random(2)
         for _ in range(20):
@@ -101,7 +103,17 @@ def test_criterion_2_fig2_chain():
             if not p.is_zero:
                 assert not contains(second, p)
 
+        # the worked example's chain, exactly: {e_m : m >= 1} u {0}, then
+        # {0}, then nothing
         X = fig2_set()
+        first = derived_set(X)
+        shift = ConstrainedImage(parse_linear("x0 - x1"), (Atom("diff_eq", i=0, j=1, c=1),))
+        assert first == [shift, PsiFunction({}, ZERO)]
+        assert all(shift.base.evaluate({0: m + 1, 1: m}) == unit(m) for m in range(1, 9))
+        assert derived_set(first) == origin
+        assert derived_set(derived_set(first)) == []
+        assert d_rank(X) == 3
+
         first_derived_points = [ZERO] + [unit(m) for m in range(1, 7)]
         for p in first_derived_points:
             assert limit_point_probe(p, X, 8), p

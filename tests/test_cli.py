@@ -73,6 +73,30 @@ class TestImageVerbs:
         data = json.loads(out)
         assert data == [{"vars": [], "coeffs": {}, "offset": "[]"}]
 
+    def test_dset_constrained(self, capsys, fig2_file):
+        # the worked example's derived set: {x0 - x1 : x0 = x1 + 1} and {0}
+        code, out = run(capsys, "dset", "--file", fig2_file, "--json")
+        assert code == 0
+        assert json.loads(out) == [
+            {
+                "vars": ["x0", "x1"],
+                "coeffs": {"x0": "1", "x1": "-1"},
+                "offset": "[]",
+                "constraints": [{"kind": "diff_eq", "i": 0, "j": 1, "c": 1}],
+            },
+            {"vars": [], "coeffs": {}, "offset": "[]"},
+        ]
+        code, out = run(capsys, "dset", "--file", fig2_file)
+        assert code == 0 and len(out.splitlines()) == 2 and out.splitlines()[1] == "[]"
+
+    def test_drank_constrained(self, capsys, fig2_file, tmp_path):
+        code, out = run(capsys, "drank", "--file", fig2_file)
+        assert code == 0 and out.strip() == "3"
+        path = tmp_path / "union-list.json"
+        path.write_text(json.dumps(BAD_INPUTS["union-list.json"]))
+        code, out = run(capsys, "drank", "--file", str(path), "--json")
+        assert code == 0 and json.loads(out) == {"d_rank": 3}
+
     def test_member(self, capsys, fig2_file):
         code, out = run(capsys, "member", "--gamma", "[0, 1, 1]", "--file", fig2_file)
         assert code == 0 and "(2, 1, 3, 2)" in out
@@ -142,10 +166,15 @@ class TestSetVerbs:
         code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "s^5")
         assert code == 0 and "quotient=11" in out and "ok" in out
 
+    def test_crosscheck_rank_of_constrained_core(self, capsys, fig2_rep_file):
+        code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "inf")
+        assert code == 0 and out.strip() == "inf\tdimA=0\tdimB=0\tok\td_rank=3"
+
 
 BAD_INPUTS = {
     "constrained.json": component_to_json(fig2_set()),
     "union-list.json": [component_to_json(fig2_set()), psifunction_to_json(parse_linear("x0 - x1"))],
+    "empty-rep.json": {"arity": 1, "products": []},
     "no-evals.json": {"evaluations": []},
     "no-value.json": {"evals": [{"args": [1]}]},
     "no-args.json": {"evals": [{"value": "[1]"}]},
@@ -188,8 +217,8 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["dset", "--file", "constrained.json"], "needs unconstrained images"),
-            (["drank", "--file", "union-list.json"], "needs unconstrained images"),
+            (["dset", "--file", "empty-rep.json"], "image-union JSON, not a definable-set rep"),
+            (["drank"], "give --union EXPR or a JSON file"),
             (["dim", "--rep", "union-list.json", "--phi", "s^3"], '"products" list'),
             (["crosscheck", "--rep", "union-list.json", "--phi", "s^3"], '"products" list'),
             (["dim", "--rep", "constrained.json", "--phi", "s^3"], '"products" list'),

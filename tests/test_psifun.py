@@ -36,19 +36,17 @@ from logcouple.psifun import (
     limit_point_probe,
     member,
     member_constrained,
-    norm,
     parse_linear,
     product_contains,
     product_derived_direct,
     product_derived_step,
     recover,
     recovery_probes,
-    restrict,
     sample_points,
     satisfies,
-    semantically_equal,
     solve_min,
 )
+from sampled_sets import sampled_equal
 
 
 def el(text):
@@ -270,20 +268,70 @@ def old_window_holds_solution(F, atoms, pins, k):
     return any(satisfies(dict(zip(F.labels, combo)), atoms) for combo in itertools.product(*ranges))
 
 
+ADVERSARIAL_KINDS = ("diff_eq chain", "cross upper bound", "le on a zero-sum group", "cancelling ties", "unsatisfiable")
+
+
+def adversarial_image(rng):
+    """A constrained map of arity 2..4, mostly with zero-sum pairs (x0, x1)
+    and (x2, x3), under the atoms of one or two adversarial kinds; returns
+    the image and its kinds."""
+    arity = rng.randint(2, 4)
+    qs = [rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]) for _ in range(arity)]
+    for a in range(0, arity - 1, 2):
+        if rng.random() < 0.8:
+            qs[a + 1] = -qs[a]
+    pairs = [(a, a + 1) for a in range(0, arity - 1, 2) if qs[a + 1] == -qs[a]] or [(0, 1)]
+    offset = GammaElement((c, Fraction(rng.randint(-3, 3))) for c in range(rng.randint(0, 2)))
+    kinds = rng.sample(ADVERSARIAL_KINDS, rng.randint(1, 2))
+    atoms = []
+    for kind in kinds:
+        if kind == "diff_eq chain":
+            chain = rng.sample(range(arity), rng.randint(2, min(3, arity)))
+            atoms += [Atom("diff_eq", i=a, j=b, c=rng.randint(0, 2)) for a, b in zip(chain, chain[1:])]
+        elif kind == "cross upper bound":
+            upper, lower = rng.sample(range(arity), 2)  # n_upper - n_lower <= c
+            atoms.append(Atom("diff_le", i=upper, j=lower, c=rng.randint(-1, 2)))
+        elif kind == "le on a zero-sum group":
+            atoms.append(Atom("le", i=rng.choice(rng.choice(pairs)), c=rng.randint(1, 4)))
+        elif kind == "cancelling ties":
+            # a pair with opposite coefficients tied at n_a = n_b cancels at every position
+            atoms += [Atom("diff_eq", i=a, j=b, c=0) for n, (a, b) in enumerate(pairs) if n == 0 or rng.random() < 0.5]
+        else:
+            l, m = rng.sample(range(arity), 2)
+            if rng.random() < 0.5:
+                c = rng.randint(1, 3)
+                atoms += [Atom("ge", i=l, c=c + 1), Atom("le", i=l, c=c)]
+            else:
+                atoms += [Atom("diff_le", i=l, j=m, c=-1), Atom("diff_le", i=m, j=l, c=0)]
+    return ConstrainedImage(PsiFunction(dict(enumerate(qs)), offset), atoms), kinds
+
+
+def least_points(X, rng, count):
+    """Up to count points of each component of X, each at the least
+    solution of its atoms above random lower bounds in 1..4."""
+    points = []
+    for F, atoms in _component_parts(X):
+        for _ in range(count):
+            x = solve_min(F.labels, atoms, lower={l: rng.randint(1, 4) for l in F.labels})
+            if x is not None:
+                points.append(F.evaluate(x))
+    return points
+
+
 class TestBasics:
     def test_norm_examples(self):
-        assert norm(fn("x0 - x1 + x2 - x3")) == 0
-        assert norm(fn("x0")) == 1
-        assert norm(PsiFunction({}, el("[3]"))) == 0
+        assert fn("x0 - x1 + x2 - x3").norm() == 0
+        assert fn("x0").norm() == 1
+        assert PsiFunction({}, el("[3]")).norm() == 0
 
     def test_restrict_examples(self):
         F = parse_linear("x0 - x1 + [2]")
-        assert restrict(F, {0}) == parse_linear("x0 + [2]")
-        assert restrict(F, F.labels) == F
-        G = restrict(F, set())
+        assert F.restrict({0}) == parse_linear("x0 + [2]")
+        assert F.restrict(F.labels) == F
+        G = F.restrict(set())
         assert G.is_constant and G.offset == el("[2]")
         with pytest.raises(ValueError):
-            restrict(F, {5})
+            F.restrict({5})
 
     def test_coefficients_must_be_nonzero(self):
         with pytest.raises(ValueError):
@@ -388,9 +436,29 @@ class TestDerivedSets:
         }
         assert lhs == rhs
 
-    def test_constrained_images_are_rejected(self):
-        with pytest.raises(TypeError):
-            derived_set([fig2_set()])
+    def test_constrained_worked_example(self):
+        # {x0 - x1 : x0 = x1 + 1} = {e_m : m >= 1}, then {0}, then nothing
+        first = derived_set([fig2_set()])
+        assert first == [ConstrainedImage(fn("x0 - x1"), (Atom("diff_eq", i=0, j=1, c=1),)), PsiFunction({}, ZERO)]
+        assert derived_set(first) == [PsiFunction({}, ZERO)]
+        assert d_rank(fig2_set()) == 3
+        assert sampled_equal(derived_set(first), [PsiFunction({}, ZERO)])
+
+    def test_constrained_rule_cases(self):
+        one = (Atom("diff_eq", i=0, j=1, c=1),)
+        # an upper bound on a zero-sum group keeps it from leaving: no limit
+        assert derived_set(ConstrainedImage(fn("x0 - x1"), (Atom("le", i=1, c=5),))) == []
+        assert derived_set(ConstrainedImage(fn("x0 - x1 + 2x2"), (Atom("diff_le", i=1, j=2, c=0),))) == []
+        # a lower bound from outside holds eventually and drops out
+        assert derived_set(ConstrainedImage(fn("x0 - x1 + 2x2"), (Atom("diff_le", i=2, j=1, c=0),))) == [fn("2x2")]
+        # a tie that cancels at every position makes the group constant
+        assert derived_set(ConstrainedImage(fn("x0 - x1 + 2x2"), (Atom("diff_eq", i=0, j=1, c=0),))) == []
+        assert derived_set(ConstrainedImage(fn("x0 - x1 + 2x2"), one)) == [fn("2x2")]
+        # atoms within the rest stay; an unsatisfiable system has no points
+        with_rest = ConstrainedImage(fn("x0 - x1 + x2 - x3"), one + (Atom("ge", i=2, c=3),))
+        assert ConstrainedImage(fn("x2 - x3"), (Atom("ge", i=2, c=3),)) in derived_set(with_rest)
+        empty = ConstrainedImage(fn("x0 - x1"), (Atom("ge", i=0, c=3), Atom("le", i=0, c=2)))
+        assert derived_set(empty) == [] and d_rank(empty) == 0 and d_rank([empty, fn("x0")]) == 1
 
 
 class TestMember:
@@ -642,6 +710,53 @@ class TestProbe:
         assert self._check_state(X.base, X.constraints, (), 1, X.base.evaluate(least)) is True
 
 
+class TestConstrainedDerivedSets:
+    # The probe decides "limit point" only up to its depth: a point that
+    # is not one can agree with other points of X on the first few
+    # coordinates.  The sampled points have small indices, and at this
+    # depth no such agreement is left.
+    DEPTH = 14
+
+    def test_probe_agrees_on_adversarial_atoms(self):
+        rng = random.Random(41)
+        kinds = dict.fromkeys(ADVERSARIAL_KINDS, 0)
+        limits = outside = dropped = empty = 0
+        for _ in range(300):
+            X, case_kinds = adversarial_image(rng)
+            for kind in case_kinds:
+                kinds[kind] += 1
+            F, atoms = X.base, X.constraints
+            D = derived_set(X)
+            if X.is_empty():
+                assert D == [] and d_rank(X) == 0
+                empty += 1
+            for p in least_points(D, rng, 2):
+                assert limit_point_probe(p, X, self.DEPTH), (F, atoms, p)
+                limits += 1
+            # outside candidates: points of the zero-sum restrictions that
+            # the atoms rule out, points of X, and small random elements
+            candidates = least_points(X, rng, 3)
+            for size in range(1, len(F.labels) + 1):
+                for J in itertools.combinations(F.labels, size):
+                    if sum(F.coeffs[l] for l in J) != 0:
+                        continue
+                    rest = tuple(a for a in atoms if a.i not in J and a.j not in J)
+                    G = F.restrict(set(F.labels) - set(J))
+                    G = ConstrainedImage(G, rest) if rest else G
+                    if G not in D:
+                        dropped += 1
+                        candidates += least_points(G, rng, 2)
+            for _ in range(2):
+                support = rng.sample(range(6), rng.randint(0, 3))
+                candidates.append(GammaElement((c, Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for c in support))
+            for p in candidates:
+                if not contains(D, p):
+                    assert not limit_point_probe(p, X, self.DEPTH), (F, atoms, p)
+                    outside += 1
+        assert min(kinds.values()) >= 40 and empty >= 40, (kinds, empty)
+        assert limits >= 150 and outside >= 1200 and dropped >= 300, (limits, outside, dropped)
+
+
 class TestRecover:
     def test_example(self):
         hidden = parse_linear("2x0 - x1 + [1]")
@@ -755,8 +870,8 @@ class TestClosure:
 class TestSemantics:
     def test_semantic_equality_of_presentations(self):
         # x0 - x1 and its relabelled twin have the same image
-        assert semantically_equal([fn("x0 - x1")], [fn("x2 - x3")])
-        assert not semantically_equal([fn("x0 - x1")], [fn("x0")])
+        assert sampled_equal([fn("x0 - x1")], [fn("x2 - x3")])
+        assert not sampled_equal([fn("x0 - x1")], [fn("x0")])
 
     def test_contains_union(self):
         X = [fn("x0"), PsiFunction({}, el("[1/2]"))]

@@ -208,10 +208,10 @@ class TestCrosscheck:
         assert report.consistent and report.dim_route_a == 0
         assert report.rank == 1
 
-    def test_constrained_rank_skipped(self):
+    def test_constrained_rank(self):
         report = sst_crosscheck(UnaryRep([ThickenedSmall([fig2_set()])]), PHI_INF)
         assert report.consistent and report.dim_route_a == 0
-        assert report.rank is None and report.notes
+        assert report.rank == 3
 
     def test_narrow_interval_certificate(self):
         rep = UnaryRep([interval("[1]", "[1, 0, 1]")])

@@ -188,6 +188,28 @@ class TestGenSFunction:
         with pytest.raises(ValueError):
             eval_gensfun(GenSFunction(2), [1])
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"arity": 1.9}, "'arity' of a generalized s-function must be an integer: 1.9"),
+            ({"arity": 1, "terms": [{"var": 0, "shift": True, "coeff": "1"}]}, "'shift' of a term must be an integer: True"),
+            ({"arity": 1, "terms": [{"var": "0", "shift": 0, "coeff": "1"}]}, "'var' of a term must be an integer: '0'"),
+            ({"arity": 1, "terms": 5}, "'terms' of a generalized s-function must be a list of objects: 5"),
+            ({"arity": 1, "terms": [5]}, "'terms' of a generalized s-function must be a list of objects: [5]"),
+            ({"arity": 1, "offset": 5}, "'offset' of a generalized s-function must be an element string: 5"),
+        ],
+    )
+    def test_from_json_rejects(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            GenSFunction.from_json(obj)
+        assert str(info.value) == message
+
+    def test_eval_rejects_non_integer_index(self):
+        F = GenSFunction(1, [(0, 0, 1)])
+        with pytest.raises(TypeError):
+            eval_gensfun(F, [2.7])
+        assert eval_gensfun(F, [2]) == psi_point(2)
+
     def test_json_round_trip_keeps_zero_entries(self):
         F = GenSFunction(2, [(0, 2, Fraction(1, 3)), (1, 0, 0)], el("[0, 1]"))
         again = GenSFunction.from_json(F.to_json())
