@@ -103,12 +103,11 @@ def _load_json(path: str):
 
 
 def _load_union(args) -> List:
-    if getattr(args, "union", None):
+    if args.union:
         return [parse_linear(args.union)]
-    path = getattr(args, "file", None) or getattr(args, "rep", None)
-    if not path:
+    if not args.file:
         raise CliError("give --union EXPR or a JSON file")
-    data = _load_json(path)
+    data = _load_json(args.file)
     if isinstance(data, dict) and "products" in data:
         raise CliError("this verb takes an image-union JSON, not a definable-set rep")
     return imageunion_from_json(data)
@@ -465,14 +464,12 @@ def _build_parser() -> _Parser:
 
     p = add("project-set", _cmd_project_set, help="finite quotient image")
     p.add_argument("--union", help="linear expression")
-    p.add_argument("--rep", help="image-union JSON file")
-    p.add_argument("--file", help="alias of --rep")
+    p.add_argument("--file", help="image-union JSON file")
     p.add_argument("--k", required=True)
 
     p = add("count", _cmd_count, help="quotient counting function (TSV)")
     p.add_argument("--union", help="linear expression")
-    p.add_argument("--rep", help="image-union JSON file")
-    p.add_argument("--file", help="alias of --rep")
+    p.add_argument("--file", help="image-union JSON file")
     p.add_argument("--k", required=True, metavar="A..B")
     p.add_argument("--fit", action="store_true", help="exact conjectural polynomial fit")
 

@@ -24,6 +24,7 @@ else goes through the public constructor.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
@@ -373,15 +374,22 @@ def is_psi_point(x: GammaExt) -> bool:
 # -- literal syntax --------------------------------------------------------
 
 
+# An optional sign, digits, and an optional '/' with a denominator; each
+# part may be surrounded by whitespace.
+_match_rational = re.compile(r"\s*([+-]?)\s*(\d+)\s*(?:/\s*(\d+)\s*)?").fullmatch
+
+
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        d = int(den.strip())
-        if d <= 0:
-            raise ValueError(f"denominator must be positive: {text!r}")
-        return Fraction(int(num.strip()), d)
-    return Fraction(int(text))
+    """Read a rational literal such as '3', '+3', '- 2/3' or ' 1 / 2 '.  The
+    denominator must be positive; anything else is a ValueError."""
+    m = _match_rational(text)
+    if m is not None:
+        sign, num, den = m.groups()
+        if den is None:
+            return Fraction(int(sign + num))
+        if int(den):
+            return Fraction(int(sign + num), int(den))
+    raise ValueError(f"not a rational: {text!r}")
 
 
 def json_int(value: object, message: str) -> int:

@@ -194,7 +194,13 @@ ImageUnion = Sequence[PsiFunction]
 
 # -- difference constraints --------------------------------------------------
 
-_ATOM_KINDS = ("diff_le", "diff_eq", "ge", "le")
+# Each atom kind and how ConstrainedImage prints it.
+_ATOM_KINDS = {
+    "diff_le": "n{i} - n{j} <= {c}",
+    "diff_eq": "n{i} - n{j} = {c}",
+    "ge": "n{i} >= {c}",
+    "le": "n{i} <= {c}",
+}
 
 
 @dataclass(frozen=True)
@@ -208,7 +214,7 @@ class Atom:
     j: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _ATOM_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _ATOM_KINDS:
             raise ValueError(f"unknown atom kind {self.kind!r}")
         if self.kind.startswith("diff") and self.j is None:
             raise ValueError(f"{self.kind} needs both variables")
@@ -340,7 +346,12 @@ class ConstrainedImage:
         return hash((self.base, self.constraints))
 
     def __repr__(self) -> str:
-        return f"{{{self.base!r} : {len(self.constraints)} constraints}}"
+        if not self.constraints:
+            return f"{{{self.base!r}}}"
+        atoms = ", ".join(
+            _ATOM_KINDS[a.kind].format(i=a.i, j=a.j, c=a.c) for a in self.constraints
+        )
+        return f"{{{self.base!r} : {atoms}}}"
 
 
 Component = Union[PsiFunction, ConstrainedImage]
@@ -1016,7 +1027,10 @@ def psifunction_from_json(obj: Mapping) -> PsiFunction:
     for name, q in named.items():
         if not re.fullmatch(r"x\d+", name):
             raise ValueError(f"variable names must look like x0, x1, ...: {name!r}")
-        coeffs[int(name[1:])] = parse_rational(str(q))
+        label = int(name[1:])
+        if label in coeffs:
+            raise ValueError(f"the label x{label} is spelled twice: {name!r}")
+        coeffs[label] = parse_rational(str(q))
     offset = obj.get("offset", "[]")
     if not isinstance(offset, str):
         raise ValueError("'offset' of a component must be an element string")

@@ -381,6 +381,9 @@ def _unary_component_from_json(obj: Mapping) -> UnaryComponent:
         raise ValueError("a component of a definable-set rep is a JSON object")
     kind = obj.get("kind")
     if kind == "interval":
+        for key in ("lo", "hi"):
+            if key not in obj:
+                raise ValueError(f"an interval component is missing the key {key!r}")
         return Interval(
             _endpoint_from_json(obj["lo"], "lo"), _endpoint_from_json(obj["hi"], "hi")
         )
@@ -388,6 +391,8 @@ def _unary_component_from_json(obj: Mapping) -> UnaryComponent:
         thicken = obj.get("thicken", "inf")
         if not isinstance(thicken, str):
             raise ValueError(f"'thicken' must be a scale string such as \"s^3\" or \"inf\": {thicken!r}")
+        if "core" not in obj:
+            raise ValueError("a small component is missing the key 'core'")
         return ThickenedSmall(imageunion_from_json(obj["core"]), Phi.parse(thicken))
     raise ValueError(f"unknown component kind {kind!r}")
 
@@ -414,6 +419,8 @@ def rep_from_json(obj: Mapping) -> Rep:
     if not isinstance(obj, Mapping) or not isinstance(obj.get("products"), list):
         raise ValueError('a definable-set rep is a JSON object with a "products" list')
     arity = json_int(obj.get("arity", 1), "'arity' of a definable-set rep must be an integer")
+    if arity < 1:
+        raise ValueError(f"'arity' of a definable-set rep must be at least 1: {arity}")
     products = obj["products"]
     if not all(isinstance(product, list) for product in products):
         raise ValueError("each product of a definable-set rep is a list of components")

@@ -129,8 +129,10 @@ class UnboundVariableError(ValueError):
         self.name = name
 
 
+# A whole '[...]' literal is one token, read by element.parse_element; an
+# unclosed one runs to the end of the input, which parse_element refuses.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<punct>[\[\],/()+-]))"
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<elem>\[[^\]]*\]?)|(?P<punct>[()+-]))"
 )
 
 _FUNCTIONS = {"psi": Psi, "s": Succ, "p": Pred, "int": Integ}
@@ -158,10 +160,8 @@ class _Parser:
                 if not stripped:
                     break
                 raise TermSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-            for kind in ("ident", "int", "punct"):
-                if m.group(kind) is not None:
-                    self.tokens.append((kind, m.group(kind), m.start(kind)))
-                    break
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
         self.open = 0  # parse_unary calls on the stack
@@ -217,8 +217,11 @@ class _Parser:
             inner, depth = self.parse_sum()
             self.expect(")")
             return inner, depth + 1
-        if value == "[":
-            return Const(self.parse_element_body()), 1
+        if kind == "elem":
+            try:
+                return Const(parse_element(value)), 1
+            except ValueError as exc:
+                raise TermSyntaxError(str(exc), pos) from None
         if kind == "ident":
             if value == "inf":
                 return Const(INF), 1
@@ -239,39 +242,6 @@ class _Parser:
                 raise TermSyntaxError(f"unknown function {value!r}", pos)
             return Var(value), 1
         raise TermSyntaxError(f"unexpected token {value!r}", pos)
-
-    def parse_element_body(self) -> GammaElement:
-        # '[' already consumed
-        coords: List[Fraction] = []
-        tok = self.peek()
-        if tok and tok[1] == "]":
-            self.next()
-            return ZERO
-        while True:
-            coords.append(self.parse_rational())
-            tok = self.next()
-            if tok[1] == "]":
-                return GammaElement.from_list(coords)
-            if tok[1] != ",":
-                raise TermSyntaxError(f"expected ',' or ']', found {tok[1]!r}", tok[2])
-
-    def parse_rational(self) -> Fraction:
-        sign = 1
-        tok = self.next()
-        if tok[1] == "-":
-            sign = -1
-            tok = self.next()
-        if tok[0] != "int":
-            raise TermSyntaxError(f"expected a number, found {tok[1]!r}", tok[2])
-        num = int(tok[1])
-        nxt = self.peek()
-        if nxt and nxt[1] == "/":
-            self.next()
-            den_tok = self.next()
-            if den_tok[0] != "int" or int(den_tok[1]) == 0:
-                raise TermSyntaxError("expected a positive denominator", den_tok[2])
-            return Fraction(sign * num, int(den_tok[1]))
-        return Fraction(sign * num)
 
 
 def parse_term(text: str) -> Term:
@@ -378,13 +348,15 @@ class GenSFunction:
         terms: Iterable[Tuple[int, int, object]] = (),
         offset: GammaExt = ZERO,
     ):
+        json_int(arity, "'arity' of a generalized s-function must be an integer")
         if arity < 0:
             raise ValueError("arity must be >= 0")
         self.arity = arity
         normalized: List[Tuple[int, int, Fraction]] = []
         seen = set()
         for var, shift, coeff in terms:
-            var, shift = int(var), int(shift)
+            json_int(var, "'var' of a term must be an integer")
+            json_int(shift, "'shift' of a term must be an integer")
             if not 0 <= var < arity:
                 raise ValueError(f"variable index {var} out of range")
             if (var, shift) in seen:
@@ -433,16 +405,12 @@ class GenSFunction:
         offset = obj.get("offset", "[]")
         if not isinstance(offset, str):
             raise ValueError(f"'offset' of a generalized s-function must be an element string: {offset!r}")
+        for t in terms:
+            if "coeff" not in t:
+                raise ValueError("a term of a generalized s-function is missing the key 'coeff'")
         return GenSFunction(
-            json_int(obj.get("arity"), "'arity' of a generalized s-function must be an integer"),
-            [
-                (
-                    json_int(t.get("var"), "'var' of a term must be an integer"),
-                    json_int(t.get("shift"), "'shift' of a term must be an integer"),
-                    parse_rational(str(t["coeff"])),
-                )
-                for t in terms
-            ],
+            obj.get("arity"),
+            [(t.get("var"), t.get("shift"), parse_rational(str(t["coeff"]))) for t in terms],
             parse_element(offset),
         )
 

@@ -103,21 +103,25 @@ class TestImageVerbs:
         code, out = run(capsys, "member", "--gamma", "[1]", "--file", fig2_file)
         assert code == 0 and out.strip() == "no"
 
+    def test_dset_text_prints_atoms(self, capsys, fig2_file):
+        code, out = run(capsys, "dset", "--file", fig2_file)
+        assert code == 0 and out.splitlines() == ["{x0 - x1 : n0 - n1 = 1}", "[]"]
+
     def test_count_table(self, capsys, fig2_file):
-        code, out = run(capsys, "count", "--rep", fig2_file, "--k", "1..5")
+        code, out = run(capsys, "count", "--file", fig2_file, "--k", "1..5")
         lines = out.strip().splitlines()
         assert code == 0
         assert lines[0] == "k\tcount"
         assert lines[-1] == "5\t11"
 
     def test_count_fit(self, capsys, fig2_file):
-        code, out = run(capsys, "count", "--rep", fig2_file, "--k", "1..8", "--fit", "--json")
+        code, out = run(capsys, "count", "--file", fig2_file, "--k", "1..8", "--fit", "--json")
         data = json.loads(out)
         assert data["fit"]["conjectural"] is True
         assert data["fit"]["coefficients"] == ["1", "-1/2", "1/2"]
 
     def test_project_set(self, capsys, fig2_file):
-        code, out = run(capsys, "project-set", "--rep", fig2_file, "--k", "2")
+        code, out = run(capsys, "project-set", "--file", fig2_file, "--k", "2")
         assert code == 0 and set(out.strip().splitlines()) == {"(0,0)", "(0,1)"}
 
     def test_project_set_output_pinned(self, capsys, tmp_path):
@@ -152,7 +156,7 @@ class TestImageVerbs:
         assert code == 0 and out.splitlines() == ["(" + ",".join(v) + ")" for v in vectors]
 
     def test_rejects_rep_json_for_count(self, capsys, fig2_rep_file):
-        assert main(["count", "--rep", fig2_rep_file, "--k", "1..3"]) == 1
+        assert main(["count", "--file", fig2_rep_file, "--k", "1..3"]) == 1
 
 
 class TestSetVerbs:
@@ -210,6 +214,10 @@ BAD_INPUTS = {
     "args-float.json": {"evals": [{"args": [1.5], "value": "[1]"}]},
     "args-bool.json": {"evals": [{"args": [True], "value": "[1]"}]},
     "args-string.json": {"evals": [{"args": ["1"], "value": "[1]"}]},
+    "lo-missing.json": {"products": [[{"kind": "interval", "hi": "+inf"}]]},
+    "core-missing.json": {"products": [[{"kind": "small", "thicken": "s^3"}]]},
+    "arity-negative.json": {"arity": -1, "products": []},
+    "label-twice.json": {"coeffs": {"x0": "1", "x00": "-1"}},
 }
 
 
@@ -255,6 +263,14 @@ class TestInputErrors:
             (["recover", "--file", "args-float.json"], "probe arguments must be psi indices: 1.5"),
             (["recover", "--file", "args-bool.json"], "probe arguments must be psi indices: True"),
             (["recover", "--file", "args-string.json"], "probe arguments must be psi indices: '1'"),
+            (["psi", "[1_000]"], "not a rational: '1_000'"),
+            (["eval", "psi([1,])"], "not a rational: ''"),
+            (["dim", "--rep", "lo-missing.json", "--phi", "s^3"], "missing the key 'lo'"),
+            (["count", "--rep", "union-list.json", "--k", "1..2"], "unrecognized arguments: --rep"),
+            (["project-set", "--rep", "union-list.json", "--k", "2"], "unrecognized arguments: --rep"),
+            (["dim", "--rep", "core-missing.json", "--phi", "s^3"], "missing the key 'core'"),
+            (["dim", "--rep", "arity-negative.json", "--phi", "s^3"], "must be at least 1: -1"),
+            (["count", "--file", "label-twice.json", "--k", "1..2"], "x0 is spelled twice: 'x00'"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):
@@ -267,6 +283,17 @@ class TestInputErrors:
         assert "Traceback" not in captured.err
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+    @pytest.mark.parametrize("literal", ["[+3]", "[1, - 2/3]", "[1_000]", "[1,]", "[1/0]", "[ 1 , 2 ]"])
+    def test_verbs_read_literals_alike(self, capsys, literal):
+        outcomes = []
+        for argv in (["psi", literal], ["eval", f"psi({literal})"], ["drank", "--union", f"x0-x1+{literal}"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert code == 0 or (len(lines) == 1 and lines[0].startswith("error: "))
+            outcomes.append(code)
+        assert outcomes in ([0, 0, 0], [1, 1, 1])
 
 
 class TestOtherVerbs:

@@ -539,6 +539,15 @@ class TestConstrained:
         assert C.is_empty()
         assert member_constrained(ZERO, C) is None
 
+    def test_repr_prints_atoms(self):
+        C = ConstrainedImage(
+            fn("x0 - x1 + x2"),
+            (Atom("diff_le", i=0, j=1, c=-1), Atom("ge", i=2, c=3), Atom("le", i=1, c=5)),
+        )
+        assert repr(C) == "{x0 - x1 + x2 : n0 - n1 <= -1, n2 >= 3, n1 <= 5}"
+        assert repr(fig2_set()) == "{x0 - x1 + x2 - x3 : n0 - n1 = 1, n2 - n3 = 1, n1 - n3 <= -1}"
+        assert repr(ConstrainedImage(fn("x0"))) == "{x0}"
+
     def test_constraints_must_use_known_labels(self):
         with pytest.raises(ValueError):
             ConstrainedImage(fn("x0"), (Atom("diff_le", i=0, j=5, c=0),))

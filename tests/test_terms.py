@@ -11,6 +11,7 @@ from logcouple.element import (
     GammaElement,
     INF,
     ZERO,
+    format_element,
     integral,
     parse_element,
     pred,
@@ -18,7 +19,7 @@ from logcouple.element import (
     psi_point,
     succ,
 )
-from logcouple.psifun import contains
+from logcouple.psifun import contains, parse_linear
 from logcouple.terms import (
     Add,
     AffineReport,
@@ -46,6 +47,31 @@ from logcouple.terms import (
 
 def el(text):
     return parse_element(text)
+
+
+# Literal bodies over digits, the literal punctuation, an underscore, a
+# letter and one non-ASCII digit (ARABIC-INDIC DIGIT THREE).
+literal_bodies = st.text(alphabet="0123456789+-/ ,_a\u0663", max_size=12)
+group_elements = st.lists(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=6
+).map(GammaElement.from_list)
+
+
+def literal_readings(text):
+    """What parse_element, parse_term and the offset of parse_linear make of
+    one element literal: each an element, or ValueError."""
+    readers = (
+        parse_element,
+        lambda t: parse_term(t).value,
+        lambda t: parse_linear("x0 + " + t).offset,
+    )
+    readings = []
+    for read in readers:
+        try:
+            readings.append(read(text))
+        except ValueError:
+            readings.append(ValueError)
+    return readings
 
 
 class TestParse:
@@ -81,6 +107,28 @@ class TestParse:
             parse_term("x y")
         with pytest.raises(TermSyntaxError):
             parse_term("x @ y")
+
+    @given(literal_bodies)
+    def test_one_literal_grammar(self, body):
+        readings = literal_readings("[" + body + "]")
+        assert readings == [readings[0]] * 3
+
+    def test_literal_edge_cases(self):
+        for text, expected in [
+            ("[+3]", el("[3]")),
+            ("[1, - 2/3]", el("[1, -2/3]")),
+            ("[ 1 , 2 ]", el("[1, 2]")),
+            ("[\u0663/2]", el("[3/2]")),
+            ("[1_000]", ValueError),
+            ("[1,]", ValueError),
+            ("[1/0]", ValueError),
+            ("[1/-2]", ValueError),
+        ]:
+            assert literal_readings(text) == [expected] * 3, text
+
+    @given(group_elements)
+    def test_printed_literals_read_back(self, x):
+        assert literal_readings(format_element(x)) == [x] * 3
 
     def test_depth_bound(self):
         # parentheses, unary chains, function calls and sums each add a level
@@ -197,11 +245,27 @@ class TestGenSFunction:
             ({"arity": 1, "terms": 5}, "'terms' of a generalized s-function must be a list of objects: 5"),
             ({"arity": 1, "terms": [5]}, "'terms' of a generalized s-function must be a list of objects: [5]"),
             ({"arity": 1, "offset": 5}, "'offset' of a generalized s-function must be an element string: 5"),
+            ({"arity": 1, "terms": [{"var": 0, "shift": 0}]}, "a term of a generalized s-function is missing the key 'coeff'"),
+            ({"terms": []}, "'arity' of a generalized s-function must be an integer: None"),
         ],
     )
     def test_from_json_rejects(self, obj, message):
         with pytest.raises(ValueError) as info:
             GenSFunction.from_json(obj)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "arity, terms, message",
+        [
+            (1, [(0.7, True, 1)], "'var' of a term must be an integer: 0.7"),
+            (1, [(0, True, 1)], "'shift' of a term must be an integer: True"),
+            (1.5, [], "'arity' of a generalized s-function must be an integer: 1.5"),
+            ("2", [], "'arity' of a generalized s-function must be an integer: '2'"),
+        ],
+    )
+    def test_constructor_rejects(self, arity, terms, message):
+        with pytest.raises(ValueError) as info:
+            GenSFunction(arity, terms)
         assert str(info.value) == message
 
     def test_eval_rejects_non_integer_index(self):
