@@ -148,9 +148,9 @@ class GammaElement:
             items = coords
         acc: dict[int, Fraction] = {}
         for n, q in items:
-            if n < 0:
+            if json_int(n, "a coordinate index must be an integer") < 0:
                 raise ValueError("coordinate index must be >= 0")
-            q = Fraction(q)
+            q = _rational(q, f"coordinate {n} must be an int or a Fraction")
             if q:
                 acc[n] = acc.get(n, Fraction(0)) + q
                 if not acc[n]:
@@ -399,6 +399,15 @@ def json_int(value: object, message: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{message}: {value!r}")
     return value
+
+
+def _rational(value: object, message: str) -> Fraction:
+    """value as a Fraction if it is an int (not a bool) or a Fraction, else
+    ValueError(f"{message}: {value!r}").  Strings and floats are refused, not
+    parsed or expanded in binary: text goes through ``parse_rational``."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(json_int(value, message))
 
 
 def format_rational(q: Rational) -> str:

@@ -19,6 +19,7 @@ Everything here is pure and immutable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -32,6 +33,7 @@ from .element import (
     INF,
     ZERO,
     _element,
+    _rational,
     format_element,
     format_rational,
     json_int,
@@ -46,7 +48,6 @@ __all__ = [
     "PsiFunction",
     "Atom",
     "ConstrainedImage",
-    "ImageUnion",
     "MemberSolution",
     "derived_set",
     "d_rank",
@@ -96,8 +97,8 @@ class PsiFunction:
             items = coeffs
         acc = {}
         for label, q in items:
-            label = int(label)
-            q = Fraction(q)
+            json_int(label, "a label must be an integer")
+            q = _rational(q, f"the coefficient of x{label} must be an int or a Fraction")
             if not q:
                 raise ValueError(f"coefficient of x{label} must be nonzero")
             if label in acc:
@@ -189,12 +190,10 @@ class PsiFunction:
         return " ".join(parts)
 
 
-ImageUnion = Sequence[PsiFunction]
-
-
 # -- difference constraints --------------------------------------------------
 
-# Each atom kind and how ConstrainedImage prints it.
+# Each atom kind and how ConstrainedImage prints it; ``Atom.edges`` says
+# what it means.
 _ATOM_KINDS = {
     "diff_le": "n{i} - n{j} <= {c}",
     "diff_eq": "n{i} - n{j} = {c}",
@@ -206,7 +205,7 @@ _ATOM_KINDS = {
 @dataclass(frozen=True)
 class Atom:
     """One conjunct over index variables: n_i - n_j <= c, n_i - n_j = c,
-    n_i >= c, or n_i <= c."""
+    n_i >= c, or n_i <= c.  Only the two ``diff`` kinds take ``j``."""
 
     kind: str
     i: int
@@ -218,6 +217,21 @@ class Atom:
             raise ValueError(f"unknown atom kind {self.kind!r}")
         if self.kind.startswith("diff") and self.j is None:
             raise ValueError(f"{self.kind} needs both variables")
+        if not self.kind.startswith("diff") and self.j is not None:
+            raise ValueError(f"{self.kind} bounds one variable and takes no 'j': {self.j!r}")
+
+    @functools.cached_property
+    def edges(self) -> Tuple[Tuple[Optional[int], Optional[int], int], ...]:
+        """The atom in the normal form of difference constraints (CLRS 24.4):
+        edges (i, j, c), each meaning n_i - n_j <= c, where ``None`` stands
+        for the constant 0."""
+        if self.kind == "ge":
+            return ((None, self.i, -self.c),)
+        if self.kind == "le":
+            return ((self.i, None, self.c),)
+        if self.kind == "diff_le":
+            return ((self.i, self.j, self.c),)
+        return ((self.i, self.j, self.c), (self.j, self.i, -self.c))
 
     def to_json(self) -> dict:
         d = {"kind": self.kind, "i": self.i, "c": self.c}
@@ -267,54 +281,44 @@ def solve_min(
     """Least integer solution of the difference-constraint system with all
     variables >= 1, or None if unsatisfiable.
 
-    Bellman-Ford, longest-path form (CLRS 24.4): x starts at the lower
-    bounds, and each pass raises n_j to n_i - c for every atom
-    n_i - n_j <= c that x violates.  Each raise is forced, so x stays
-    below every solution, and once a pass changes nothing x is a solution:
-    the least one.  An upper bound crossed on the way proves the system
-    unsatisfiable.  Without a cycle of atoms whose constants sum below 0,
-    the final x_j is a lower bound carried along a simple path of at most
-    |labels| - 1 atoms, and pass p has carried every path of p atoms; so
-    a feasible system settles within |labels| passes, and the
+    Bellman-Ford, longest-path form (CLRS 24.4), over the labels and a node
+    fixed at 0 (``None`` in ``Atom.edges``): x starts at the lower bounds
+    and the zero node at 0, and each pass raises n_j to n_i - c for every
+    edge n_i - n_j <= c that x violates, an upper bound b on n_l being the
+    edge (l, None, b).  Each raise is forced, so x stays below every
+    solution, and once a pass changes nothing x is a solution: the least
+    one.  A raise of the zero node proves the system unsatisfiable.
+    Without a cycle of edges whose constants sum below 0, the final x_j is
+    a start value carried along a simple path of at most |labels| edges
+    through the |labels| + 1 nodes, and pass p has carried every path of p
+    edges; so a feasible system settles within |labels| passes, and the
     ``len(labels) + 2`` bound never cuts one off.  With such a gain cycle
-    no solution exists, some atom is violated after every pass, and the
+    no solution exists, some edge is violated after every pass, and the
     loop ends in None."""
     labels = sorted(set(labels))
-    lo = {l: 1 for l in labels}
-    up: Dict[int, Optional[int]] = {l: None for l in labels}
+    x: Dict[Optional[int], int] = dict.fromkeys(labels, 1)
     if lower:
         for l, b in lower.items():
-            lo[l] = max(lo[l], b)
-    if upper:
-        for l, b in upper.items():
-            up[l] = b if up[l] is None else min(up[l], b)
-    edges: List[Tuple[int, int, int]] = []  # (i, j, c): n_i - n_j <= c
+            x[l] = max(x[l], b)
+    edges: List[Tuple[Optional[int], Optional[int], int]] = []
     for a in atoms:
-        if a.i not in lo or (a.j is not None and a.j not in lo):
+        if a.i not in x or (a.j is not None and a.j not in x):
             raise ValueError(f"atom over unknown variable: {a}")
-        if a.kind == "diff_le":
-            edges.append((a.i, a.j, a.c))
-        elif a.kind == "diff_eq":
-            edges.append((a.i, a.j, a.c))
-            edges.append((a.j, a.i, -a.c))
-        elif a.kind == "ge":
-            lo[a.i] = max(lo[a.i], a.c)
-        else:
-            up[a.i] = a.c if up[a.i] is None else min(up[a.i], a.c)
-    x = dict(lo)
-    for l in labels:
-        if up[l] is not None and x[l] > up[l]:
-            return None
+        edges += a.edges
+    x[None] = 0
+    if upper:
+        edges += [(l, None, b) for l, b in upper.items()]
     for _ in range(len(labels) + 2):
         changed = False
         for i, j, c in edges:
             need = x[i] - c  # n_j >= n_i - c
             if x[j] < need:
+                if j is None:
+                    return None  # the zero node would have to rise
                 x[j] = need
-                if up[j] is not None and x[j] > up[j]:
-                    return None
                 changed = True
         if not changed:
+            del x[None]
             return x
     return None  # raising never stabilized: positive-gain cycle
 
@@ -381,17 +385,19 @@ def derived_set(X) -> List[Component]:
     nonempty, as the points are distinct.  Once every n_j > c, coordinate c
     of the J part sum_J q_j E_{n_j} is the sum of the q_j over J, so the
     limit exists iff (i) that sum is 0, and then gamma = F_{I\\J}(m).  The
-    labels of J grow without bound on S only if (ii) no atom bounds one from
-    above: no ``le`` on J, no ``diff_le`` n_j - n_i <= c with j in J and i
-    outside J, no ``diff_eq`` across J.  The points differ, so (iii) the J
+    labels of J grow without bound on S only if (ii) no atom edge leaves J:
+    no edge n_i - n_j <= c of ``Atom.edges`` has i in J and j outside J,
+    the zero node counting as outside, so an upper bound on a label of J
+    (its edge to 0) is such an edge.  The points differ, so (iii) the J
     part is not 0 on every solution of the atoms within J.
 
     Conversely, let J satisfy (i)-(iii), m solve the atoms within I\\J and p
-    solve those within J with a nonzero J part P(p).  By (ii) every other
-    atom bounds a J label from below.  With the sum over J zero, P(p + t) is
-    P(p) moved up t positions, so the points F(m, p + t) are distinct and
-    tend to F_{I\\J}(m); p + t solves the atoms within J, and for t large
-    the lower bounds hold too.  So the derived set is the union, over every
+    solve those within J with a nonzero J part P(p).  By (ii) every edge of
+    the other atoms that meets J enters it, and so bounds a J label from
+    below.  With the sum over J zero, P(p + t) is P(p) moved up t
+    positions, so the points F(m, p + t) are distinct and tend to
+    F_{I\\J}(m); p + t solves the atoms within J, and for t large the
+    lower bounds hold too.  So the derived set is the union, over every
     nonempty J with (i)-(iii), of F_{I\\J} under the atoms within I\\J, a
     plain map when none remain.
 
@@ -413,12 +419,8 @@ def derived_set(X) -> List[Component]:
             if msum[mask]:
                 continue  # (i): the coefficients over J must sum to 0
             J = {labels[i] for i in range(n) if mask >> i & 1}
-            if any(
-                (a.kind != "ge" and a.i in J and a.j not in J)
-                or (a.kind == "diff_eq" and a.j in J and a.i not in J)
-                for a in atoms
-            ):
-                continue  # (ii): an atom bounds a label of J from above
+            if any(i in J and j not in J for a in atoms for i, j, _ in a.edges):
+                continue  # (ii): an edge leaves J, so it bounds a label of J from above
             inside = tuple(a for a in atoms if a.i in J and (a.j is None or a.j in J))
             if not _holds_other_point(F.restrict(J), inside, (1 << len(J)) - 1, (), 1, F.offset):
                 continue  # (iii): the J part is 0 on every solution
@@ -716,12 +718,13 @@ def _holds_other_point(F: PsiFunction, atoms, capped: int, pins, k: int, gamma: 
         over i in R.  It is zero iff, at each position p, the q_i of the
         labels i in R with x_i = p sum to 0.
     (b) Let R(l) be the least label set that holds l and holds j whenever
-        it holds i and the atom n_i - n_j <= c is tight at x.  Every point
-        of S is >= x, and one with n_l > x_l is >= x + 1_{R(l)}, which
-        meets every difference atom.  So x^l = x + 1_{R(l)}, or x^l does
-        not exist because R(l) holds a label at its upper bound (a pin or
-        an ``le`` atom); then n_l = x_l on all of S.
-    (c) If i is in R(j) and j in R(i), the tight atoms close a cycle of
+        it holds i and the edge n_i - n_j <= c between two labels is tight
+        at x.  Every point of S is >= x, and one with n_l > x_l is
+        >= x + 1_{R(l)}, which meets every edge between two labels.  So
+        x^l = x + 1_{R(l)}, or x^l does not exist because R(l) holds a
+        label whose edge to the zero node is tight (a pin or an upper
+        bound); then n_l = x_l on all of S.
+    (c) If i is in R(j) and j in R(i), the tight edges close a cycle of
         weight 0, so n_i - n_j is the same on all of S: each class of
         mutual reachability moves as one, by a shift t >= 0 from x.
     (d) Suppose every x^l that exists has F(x^l) = F(x).  The labels with

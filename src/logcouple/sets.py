@@ -115,13 +115,7 @@ class ThickenedSmall:
 
     @property
     def is_empty(self) -> bool:
-        for comp in self.core:
-            if isinstance(comp, ConstrainedImage):
-                if not comp.is_empty():
-                    return False
-            else:
-                return False
-        return True
+        return all(isinstance(comp, ConstrainedImage) and comp.is_empty() for comp in self.core)
 
     def contains(self, x: GammaElement) -> bool:
         if self.thicken.is_finite:

@@ -23,6 +23,7 @@ from .element import (
     GammaExt,
     INF,
     ZERO,
+    _rational,
     delta,
     format_element,
     format_rational,
@@ -362,7 +363,7 @@ class GenSFunction:
             if (var, shift) in seen:
                 raise ValueError(f"duplicate (variable, shift) pair ({var}, {shift})")
             seen.add((var, shift))
-            normalized.append((var, shift, Fraction(coeff)))
+            normalized.append((var, shift, _rational(coeff, "'coeff' of a term must be an int or a Fraction")))
         self.terms = tuple(sorted(normalized, key=lambda t: (t[0], t[1])))
         self.offset = offset
 

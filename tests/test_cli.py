@@ -218,6 +218,7 @@ BAD_INPUTS = {
     "core-missing.json": {"products": [[{"kind": "small", "thicken": "s^3"}]]},
     "arity-negative.json": {"arity": -1, "products": []},
     "label-twice.json": {"coeffs": {"x0": "1", "x00": "-1"}},
+    "le-with-j.json": {"coeffs": {"x0": "1", "x1": "-1"}, "constraints": [{"kind": "le", "i": 0, "j": 1, "c": 3}]},
 }
 
 
@@ -271,6 +272,7 @@ class TestInputErrors:
             (["dim", "--rep", "core-missing.json", "--phi", "s^3"], "missing the key 'core'"),
             (["dim", "--rep", "arity-negative.json", "--phi", "s^3"], "must be at least 1: -1"),
             (["count", "--file", "label-twice.json", "--k", "1..2"], "x0 is spelled twice: 'x00'"),
+            (["drank", "--file", "le-with-j.json"], "le bounds one variable and takes no 'j': 1"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

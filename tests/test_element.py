@@ -27,6 +27,8 @@ from logcouple.element import (
     succ,
     unit,
 )
+from logcouple.psifun import PsiFunction
+from logcouple.terms import GenSFunction
 
 
 def el(text):
@@ -123,6 +125,38 @@ class TestArithmeticAndOrder:
         if a < b:
             assert a + unit(3) < b + unit(3)
             assert -b < -a
+
+
+class TestConstructorNumbers:
+    # Labels and coordinate indices are integers; coefficients and coordinate
+    # values are ints or Fractions.  Text goes through parse_rational, so no
+    # constructor reads Fraction's own string grammar or a float's binary value.
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (PsiFunction, ({0: "1_000"},), "coefficient of x0 must be an int or a Fraction: '1_000'"),
+            (PsiFunction, ({0: " 1e3 "},), "coefficient of x0 must be an int or a Fraction: ' 1e3 '"),
+            (PsiFunction, ({0: 0.1},), "coefficient of x0 must be an int or a Fraction: 0.1"),
+            (PsiFunction, ({0: True},), "coefficient of x0 must be an int or a Fraction: True"),
+            (PsiFunction, ({0.7: 1},), "label must be an integer: 0.7"),
+            (PsiFunction, ({"3": 1},), "label must be an integer: '3'"),
+            (GenSFunction, (1, [(0, 0, 0.5)]), "'coeff' of a term must be an int or a Fraction: 0.5"),
+            (GenSFunction, (1, [(0, 0, "1/2")]), "'coeff' of a term must be an int or a Fraction: '1/2'"),
+            (GammaElement, ([(0.5, 1)],), "coordinate index must be an integer: 0.5"),
+            (GammaElement, ({True: 1},), "coordinate index must be an integer: True"),
+            (GammaElement, ([(0, "1")],), "coordinate 0 must be an int or a Fraction: '1'"),
+            (GammaElement, ([(2, 0.25)],), "coordinate 2 must be an int or a Fraction: 0.25"),
+        ],
+    )
+    def test_refused_with_one_line(self, build, args, message):
+        with pytest.raises(ValueError) as info:
+            build(*args)
+        assert message in str(info.value) and "\n" not in str(info.value)
+
+    def test_ints_and_fractions_accepted(self):
+        assert repr(PsiFunction({0: 2, 1: Fraction(-1, 3)})) == "2 x0 - 1/3 x1"
+        assert repr(GenSFunction(1, [(0, 0, Fraction(1, 2)), (0, 1, 3)])) == "1/2*s^0(a0) + 3*s^1(a0) + []"
+        assert GammaElement([(0, 1), (2, Fraction(1, 2))]) == el("[1, 0, 1/2]")
 
 
 class TestDerivedArithmetic:

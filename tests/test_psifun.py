@@ -552,6 +552,14 @@ class TestConstrained:
         with pytest.raises(ValueError):
             ConstrainedImage(fn("x0"), (Atom("diff_le", i=0, j=5, c=0),))
 
+    @pytest.mark.parametrize("kind", ["ge", "le"])
+    def test_one_variable_atoms_take_no_j(self, kind):
+        # derived_set read a stray j on these kinds while solve_min ignored it
+        with pytest.raises(ValueError, match="takes no 'j'"):
+            Atom(kind, i=0, j=1, c=3)
+        with pytest.raises(ValueError, match="takes no 'j'"):
+            component_from_json({"coeffs": {"x0": "1", "x1": "-1"}, "constraints": [{"kind": kind, "i": 0, "j": 1, "c": 3}]})
+
 
 class TestSolveMin:
     def test_least_solution(self):
@@ -585,6 +593,45 @@ class TestSolveMin:
         atoms = fig2_set().constraints
         assert satisfies({0: 2, 1: 1, 2: 4, 3: 3}, atoms)
         assert not satisfies({0: 2, 1: 1, 2: 4, 3: 2}, atoms)
+
+    def test_least_solution_matches_brute_force(self):
+        # With at most 3 labels, starts of at most 6 and difference constants of
+        # at most 3, a least solution is reached along at most 2 difference edges
+        # from a start, so every coordinate is <= 6 + 2*3 = 12: searching
+        # {1..13}^n finds it, and finding nothing proves the system unsatisfiable.
+        rng = random.Random(20261018)
+        kinds = set()
+        found = 0
+        for _ in range(200):
+            labels = list(range(rng.randint(1, 3)))
+            atoms = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.choice(["diff_le", "diff_eq", "ge", "le"] if len(labels) > 1 else ["ge", "le"])
+                kinds.add(kind)
+                if kind in ("ge", "le"):
+                    atoms.append(Atom(kind, i=rng.choice(labels), c=rng.randint(1, 6)))
+                else:
+                    i, j = rng.sample(labels, 2)
+                    atoms.append(Atom(kind, i=i, j=j, c=rng.randint(-3, 3)))
+            lower = {l: rng.randint(1, 6) for l in labels if rng.random() < 0.3}
+            upper = {l: rng.randint(1, 9) for l in labels if rng.random() < 0.3}
+            solutions = [
+                dict(zip(labels, n))
+                for n in itertools.product(range(1, 14), repeat=len(labels))
+                if satisfies(dict(zip(labels, n)), atoms)
+                and all(n[l] >= b for l, b in lower.items())
+                and all(n[l] <= b for l, b in upper.items())
+            ]
+            got = solve_min(labels, atoms, lower=lower, upper=upper)
+            if not solutions:
+                assert got is None, (atoms, lower, upper)
+                continue
+            found += 1
+            least = {l: min(s[l] for s in solutions) for l in labels}
+            assert got == least, (atoms, lower, upper)
+            assert max(least.values()) <= 12
+        assert kinds == {"diff_le", "diff_eq", "ge", "le"}
+        assert 40 < found < 160
 
 
 class TestProbe:
