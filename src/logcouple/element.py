@@ -237,11 +237,6 @@ class GammaElement:
 
     # -- lexicographic order ----------------------------------------------
 
-    def _sign(self) -> int:
-        if not self._coords:
-            return 0
-        return 1 if self._coords[0][1] > 0 else -1
-
     def _cmp(self, other: "GammaElement") -> int:
         # sign of self - other without allocating the difference
         a, b = self._coords, other._coords

@@ -12,7 +12,9 @@ move F; see ``derived_set``).
 The membership solver exploits the staircase shape of E_n = e_0+...+e_{n-1}:
 coordinate drops of gamma - beta must be partitioned into exact sub-multiset
 sums of the coefficients, with zero-sum leftovers free to sit beyond the
-support (reported as parametric families).
+support (reported as parametric families).  The search yields one family at
+a time: ``contains`` and ``member_constrained`` stop at the first family
+that answers them, and ``member`` lists them all.
 
 Everything here is pure and immutable.
 """
@@ -26,7 +28,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .element import (
     GammaElement,
@@ -53,7 +55,6 @@ __all__ = [
     "d_rank",
     "closure",
     "member",
-    "expand_solutions",
     "member_constrained",
     "contains",
     "limit_point_probe",
@@ -98,6 +99,8 @@ class PsiFunction:
         acc = {}
         for label, q in items:
             json_int(label, "a label must be an integer")
+            if label < 0:
+                raise ValueError(f"labels are x0, x1, ...: {label} is negative")
             q = _rational(q, f"the coefficient of x{label} must be an int or a Fraction")
             if not q:
                 raise ValueError(f"coefficient of x{label} must be nonzero")
@@ -219,6 +222,9 @@ class Atom:
             raise ValueError(f"{self.kind} needs both variables")
         if not self.kind.startswith("diff") and self.j is not None:
             raise ValueError(f"{self.kind} bounds one variable and takes no 'j': {self.j!r}")
+        for label in (self.i, self.j):
+            if label is not None and label < 0:
+                raise ValueError(f"labels are x0, x1, ...: {label} is negative")
 
     @functools.cached_property
     def edges(self) -> Tuple[Tuple[Optional[int], Optional[int], int], ...]:
@@ -503,87 +509,65 @@ def _subset_sums(qs: Sequence) -> list:
     return msum
 
 
-def member(gamma: GammaElement, F: PsiFunction) -> List[MemberSolution]:
-    """All index assignments with F(assignment) = gamma, including parametric
-    zero-sum families; empty list means gamma is not in the image."""
+def _member_families(gamma: GammaElement, F: PsiFunction) -> Iterator[MemberSolution]:
+    """The solution families of F(assignment) = gamma, one at a time, so a
+    caller that only needs the first one stops the search there."""
     if not isinstance(gamma, GammaElement):
-        return []
+        return
     delta = gamma - F.offset
     labels = F.labels
     if not labels:
-        return [MemberSolution(())] if delta.is_zero else []
+        if delta.is_zero:
+            yield MemberSolution(())
+        return
     n = len(labels)
     if n > 16:
         raise ValueError("membership solving supports at most 16 indices")
     msum = _subset_sums([q for _, q in F._coeffs])
     if delta.coord(0) != msum[(1 << n) - 1]:
-        return []
+        return
     M = 0 if delta.is_zero else delta.items()[-1][0] + 1
     dense = [delta.coord(c) for c in range(M + 1)]
     jumps = [dense[m - 1] - dense[m] for m in range(1, M + 1)]
-    out: List[MemberSolution] = []
 
-    def emit(placed: List[Tuple[int, int]], remaining: int) -> None:
-        for part in _zero_partitions(remaining, msum):
-            blocks = sorted(part, key=lambda b: (b & -b).bit_length())
-            assignment = dict(placed)
-            floating = []
-            for pos, block in enumerate(blocks, start=M + 1):
-                group = frozenset(labels[i] for i in range(n) if block >> i & 1)
-                floating.append(group)
-                for l in group:
-                    assignment[l] = pos
-            out.append(
-                MemberSolution(tuple(sorted(assignment.items())), tuple(floating))
-            )
-
-    def place(m: int, remaining: int, placed: List[Tuple[int, int]]) -> None:
+    def place(m: int, remaining: int, placed: List[Tuple[int, int]]) -> Iterator[MemberSolution]:
         if m > M:
-            emit(placed, remaining)
+            for part in _zero_partitions(remaining, msum):
+                blocks = sorted(part, key=lambda b: (b & -b).bit_length())
+                assignment = dict(placed)
+                floating = []
+                for pos, block in enumerate(blocks, start=M + 1):
+                    group = frozenset(labels[i] for i in range(n) if block >> i & 1)
+                    floating.append(group)
+                    for l in group:
+                        assignment[l] = pos
+                yield MemberSolution(tuple(sorted(assignment.items())), tuple(floating))
             return
         target = jumps[m - 1]
         sub = remaining
         while True:
             if msum[sub] == target:
                 chosen = [(labels[i], m) for i in range(n) if sub >> i & 1]
-                place(m + 1, remaining ^ sub, placed + chosen)
+                yield from place(m + 1, remaining ^ sub, placed + chosen)
             if sub == 0:
                 break
             sub = (sub - 1) & remaining
 
-    place(1, (1 << n) - 1, [])
-    return out
+    yield from place(1, (1 << n) - 1, [])
 
 
-def expand_solutions(
-    solutions: Iterable[MemberSolution], labels: Sequence[int], bound: int
-) -> set:
-    """All concrete assignments (tuples in label order) with every index in
-    1..bound, instantiating parametric groups at every position."""
-    labels = list(labels)
-    result = set()
-    for sol in solutions:
-        base = sol.as_dict()
-        fixed = {l: v for l, v in base.items() if all(l not in g for g in sol.floating)}
-        if any(v > bound for v in fixed.values()):
-            continue
-        if not sol.floating:
-            result.add(tuple(base[l] for l in labels))
-            continue
-        for positions in itertools.product(range(1, bound + 1), repeat=len(sol.floating)):
-            inst = dict(fixed)
-            for group, pos in zip(sol.floating, positions):
-                for l in group:
-                    inst[l] = pos
-            result.add(tuple(inst[l] for l in labels))
-    return result
+def member(gamma: GammaElement, F: PsiFunction) -> List[MemberSolution]:
+    """All index assignments with F(assignment) = gamma, including parametric
+    zero-sum families; empty list means gamma is not in the image."""
+    return list(_member_families(gamma, F))
 
 
 def member_constrained(gamma: GammaElement, C: ConstrainedImage) -> Optional[Dict[int, int]]:
     """A witness assignment satisfying the constraints, or None.  Parametric
     families are intersected with the constraints via the least solution of
-    the combined difference system."""
-    for sol in member(gamma, C.base):
+    the combined difference system; the search stops at the first family
+    that has one."""
+    for sol in _member_families(gamma, C.base):
         floating_labels = set().union(*sol.floating) if sol.floating else set()
         lower: Dict[int, int] = {}
         upper: Dict[int, int] = {}
@@ -605,7 +589,7 @@ def member_constrained(gamma: GammaElement, C: ConstrainedImage) -> Optional[Dic
 def contains(X, gamma: GammaElement) -> bool:
     """Membership in a component, a constrained component, or a union."""
     if isinstance(X, PsiFunction):
-        return bool(member(gamma, X))
+        return next(_member_families(gamma, X), None) is not None
     if isinstance(X, ConstrainedImage):
         return member_constrained(gamma, X) is not None
     return any(contains(comp, gamma) for comp in X)
@@ -896,13 +880,17 @@ def equilateral_max_clique(sample: Sequence[GammaElement], phi: GammaElement) ->
 # -- sampling ------------------------------------------------------------------
 
 
-def sample_points(X, count: int, max_rounds: int = 24) -> List[GammaElement]:
+# The largest index budget that sample_points tries.
+_SAMPLE_ROUNDS = 24
+
+
+def sample_points(X, count: int) -> List[GammaElement]:
     """A deterministic sample of distinct points of X, enumerated by
-    increasing index budget."""
+    increasing index budget (at most ``_SAMPLE_ROUNDS``)."""
     parts = _component_parts(X)
     seen = set()
     out: List[GammaElement] = []
-    for t in range(1, max_rounds + 1):
+    for t in range(1, _SAMPLE_ROUNDS + 1):
         for F, atoms in parts:
             labels = F.labels
             if not labels:

@@ -206,16 +206,19 @@ def closed_discrete_certificate(X, phi: Phi) -> Tuple[TruncatedVector, ...]:
     return tuple(project_set(X, phi.k))
 
 
-def fit_count_polynomial(
-    counts: Sequence[Tuple[int, int]], max_degree: int = 4
-) -> Optional[Tuple[Fraction, ...]]:
-    """Exact polynomial fit of the count table: the least degree d whose
-    interpolation through the last d+1 points also matches the remaining
-    point of the last d+2.  Returns coefficients (constant first) or None.
-    Any fit is conjectural; the caller must flag it as such."""
+# The highest degree that fit_count_polynomial tries.
+_FIT_MAX_DEGREE = 4
+
+
+def fit_count_polynomial(counts: Sequence[Tuple[int, int]]) -> Optional[Tuple[Fraction, ...]]:
+    """Exact polynomial fit of the count table: the least degree d (at most
+    ``_FIT_MAX_DEGREE``) whose interpolation through the last d+1 points
+    also matches the remaining point of the last d+2.  Returns coefficients
+    (constant first) or None.  Any fit is conjectural; the caller must flag
+    it as such."""
     if len(counts) < 2:
         return None
-    for d in range(0, max_degree + 1):
+    for d in range(0, _FIT_MAX_DEGREE + 1):
         tail = counts[-(d + 2) :]
         if len(tail) < d + 2:
             break

@@ -34,6 +34,9 @@ from .psifun import (
     Component,
     ConstrainedImage,
     PsiFunction,
+    _capped_sweep,
+    _component_parts,
+    _denominator,
     component_to_json,
     contains as image_contains,
     d_rank,
@@ -119,8 +122,14 @@ class ThickenedSmall:
 
     def contains(self, x: GammaElement) -> bool:
         if self.thicken.is_finite:
+            # project(x, k) in project_set(self.core, k), without building the
+            # image: each sweep drops a chain at the first coordinate that
+            # leaves project(x, k), and all() stops at the first empty step.
             k = self.thicken.k
-            return project(x, k) in project_set(self.core, k)
+            target = project(x, k)
+            parts = _component_parts(self.core)
+            D = _denominator(parts, k)
+            return any(all(_capped_sweep(F, atoms, k, D, target)) for F, atoms in parts)
         return image_contains(self.core, x)
 
 

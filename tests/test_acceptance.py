@@ -37,7 +37,6 @@ from logcouple.psifun import (
     d_rank,
     derived_set,
     equilateral_max_clique,
-    expand_solutions,
     fig2_set,
     limit_point_probe,
     member,
@@ -63,7 +62,7 @@ from logcouple.sets import (
     sst_crosscheck,
     union,
 )
-from sampled_sets import sampled_equal
+from sampled_sets import expand_solutions, sampled_equal
 
 
 @contextmanager

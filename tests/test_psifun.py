@@ -15,6 +15,7 @@ from logcouple.element import (
     psi_point,
     unit,
 )
+from logcouple.gen import random_element
 from logcouple.psifun import (
     Atom,
     ConstrainedImage,
@@ -29,7 +30,6 @@ from logcouple.psifun import (
     d_rank,
     derived_set,
     equilateral_max_clique,
-    expand_solutions,
     fig2_set,
     imageunion_from_json,
     imageunion_to_json,
@@ -46,7 +46,7 @@ from logcouple.psifun import (
     satisfies,
     solve_min,
 )
-from sampled_sets import sampled_equal
+from sampled_sets import expand_solutions, sampled_equal
 
 
 def el(text):
@@ -104,6 +104,23 @@ def random_atoms(rng, arity):
             i, j = rng.sample(range(arity), 2)
             atoms.append(Atom(kind, i=i, j=j, c=rng.randint(-1, 1)))
     return tuple(atoms)
+
+
+def zero_sum_psifunction(rng, max_arity=5):
+    """A random map of arity 0..max_arity in which each label pair (0, 1),
+    (2, 3), ... is zero-sum with probability one half, so that membership
+    has parametric families."""
+    F = random_psifunction(rng, min_arity=0, max_arity=max_arity, coeff_bound=4)
+    coeffs = F.coeffs
+    for a in range(0, len(coeffs) - 1, 2):
+        if rng.random() < 0.5:
+            coeffs[a + 1] = -coeffs[a]
+    return PsiFunction(coeffs, F.offset)
+
+
+def off_grid(rng, gamma):
+    """gamma moved by 1/11 at one of its first coordinates."""
+    return gamma + GammaElement({rng.randrange(4): Fraction(1, 11)})
 
 
 def _profile_truncation(F, profile, k):
@@ -339,6 +356,23 @@ class TestBasics:
         with pytest.raises(ValueError):
             PsiFunction({0: 1}, INF)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PsiFunction({-1: 1, 0: -1}),
+            lambda: PsiFunction([(0, 1), (-3, Fraction(1, 2))]),
+            lambda: Atom("ge", -1, 2),
+            lambda: Atom("le", i=-2, c=1),
+            lambda: Atom("diff_le", i=0, j=-1, c=0),
+            lambda: Atom("diff_eq", i=-1, j=0, c=0),
+        ],
+        ids=["psifunction", "psifunction-pairs", "ge", "le", "diff_le-j", "diff_eq-i"],
+    )
+    def test_negative_labels_are_refused(self, build):
+        # x-1 would print, and be written to JSON, as text no reader accepts
+        with pytest.raises(ValueError, match="-[0-9]+ is negative"):
+            build()
+
     def test_evaluate(self):
         F = fn("2x0 - x1 + [1]")
         assert F.evaluate({0: 1, 1: 2}) == psi_point(1) * 2 - psi_point(2) + el("[1]")
@@ -505,6 +539,29 @@ class TestMember:
     def test_infinity_is_never_a_member(self):
         assert member(INF, fn("x0")) == []
 
+    def test_contains_agrees_with_member(self):
+        # contains stops at the first family; member lists them all
+        rng = random.Random(1107)
+        hits = misses = parametric = 0
+        for _ in range(300):
+            F = zero_sum_psifunction(rng)
+            points = sample_points(F, 4)
+            gammas = points + [off_grid(rng, p) for p in points]
+            gammas += [random_element(rng, max_support=5, bound=6) for _ in range(3)] + [INF]
+            for gamma in gammas:
+                families = member(gamma, F)
+                assert contains(F, gamma) == bool(families), (F, gamma)
+                hits += bool(families)
+                misses += not families
+                parametric += any(sol.parametric for sol in families)
+        assert hits > 500 and misses > 500 and parametric > 100
+
+    def test_alternating_sixteen_labels_contain_zero(self):
+        # member lists on the order of 10^7 families here; contains needs one
+        alt16 = PsiFunction({l: (-1) ** l for l in range(16)})
+        assert contains(alt16, ZERO)
+        assert contains([alt16], ZERO)
+
 
 class TestConstrained:
     def test_fig2_membership(self):
@@ -547,6 +604,36 @@ class TestConstrained:
         assert repr(C) == "{x0 - x1 + x2 : n0 - n1 <= -1, n2 >= 3, n1 <= 5}"
         assert repr(fig2_set()) == "{x0 - x1 + x2 - x3 : n0 - n1 = 1, n2 - n3 = 1, n1 - n3 <= -1}"
         assert repr(ConstrainedImage(fn("x0"))) == "{x0}"
+
+    def test_witness_exactly_when_some_family_solves(self):
+        # the oracle instantiates every family of member in a window and
+        # reads the atoms kind by kind with satisfies
+        rng = random.Random(1108)
+        found = refused = 0
+        for _ in range(150):
+            F = zero_sum_psifunction(rng, max_arity=4)
+            labels = F.labels
+            if not labels:
+                continue
+            C = ConstrainedImage(F, random_atoms(rng, len(labels)))
+            points = sample_points(F, 4)
+            least = solve_min(labels, C.constraints)
+            if least is not None:
+                points.append(F.evaluate(least))
+            for gamma in points + [off_grid(rng, points[0])]:
+                families = member(gamma, F)
+                witness = member_constrained(gamma, C)
+                if witness is not None:
+                    assert F.evaluate(witness) == gamma
+                    assert satisfies(witness, C.constraints)
+                    bound = max(witness.values())
+                    assert tuple(witness[l] for l in labels) in expand_solutions(families, labels, bound)
+                    found += 1
+                else:
+                    window = expand_solutions(families, labels, 8)
+                    assert not any(satisfies(dict(zip(labels, t)), C.constraints) for t in window), (C, gamma)
+                    refused += 1
+        assert found > 200 and refused > 200
 
     def test_constraints_must_use_known_labels(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from logcouple.psifun import (
     PsiFunction,
     fig2_set,
     parse_linear,
+    sample_points,
 )
 from logcouple.quotient import PHI_INF, Phi, project, project_set
 from logcouple.sets import (
@@ -31,7 +32,7 @@ from logcouple.sets import (
     sst_crosscheck,
     union,
 )
-from test_psifun import random_atoms, random_psifunction
+from test_psifun import off_grid, random_atoms, random_psifunction, zero_sum_psifunction
 
 
 def el(text):
@@ -171,6 +172,31 @@ class TestMember:
                     misses += not want
                     off_grid += any(q.denominator % 11 == 0 or q.denominator % 13 == 0 for q in project(x, k))
         assert hits > 100 and misses > 100 and off_grid > 100
+
+    def test_thickened_member_constrained_cores(self):
+        # the targeted sweep against the whole image: cores that always hold
+        # a constrained component, points of the unconstrained maps (some
+        # meet the atoms, some do not), and those points moved off the grid
+        # by 1/11
+        rng = random.Random(1109)
+        hits = misses = off_grid_points = 0
+        for _ in range(40):
+            core = [fig2_set()] if rng.random() < 0.25 else []
+            while not any(isinstance(C, ConstrainedImage) for C in core):
+                F = zero_sum_psifunction(rng, max_arity=4)
+                core.append(ConstrainedImage(F, random_atoms(rng, len(F.labels))) if F.labels else F)
+            points = sample_points([C.base if isinstance(C, ConstrainedImage) else C for C in core], 8)
+            points += [off_grid(rng, p) for p in points] + [ZERO]
+            for k in range(1, 6):
+                comp = ThickenedSmall(core, Phi(k))
+                image = project_set(core, k)
+                for x in points:
+                    want = project(x, k) in image
+                    assert comp.contains(x) == want, (core, k, x)
+                    hits += want
+                    misses += not want
+                    off_grid_points += any(q.denominator % 11 == 0 for q in project(x, k))
+        assert hits > 300 and misses > 300 and off_grid_points > 300
 
     def test_unthickened_member(self):
         rep = UnaryRep([ThickenedSmall([parse_linear("x0 - x1")])])
