@@ -304,7 +304,10 @@ def _cmd_witness(args) -> int:
 def _cmd_clique(args) -> int:
     points = [parse_element(p) for p in args.point or []]
     if args.file:
-        points.extend(parse_element(p) for p in _load_json(args.file))
+        data = _load_json(args.file)
+        if not isinstance(data, list) or not all(isinstance(p, str) for p in data):
+            raise CliError("clique --file takes a JSON array of element strings")
+        points.extend(parse_element(p) for p in data)
     bad = [p for p in points if p is INF]
     if bad or not points:
         raise CliError("clique needs one or more group-element points")
@@ -425,7 +428,7 @@ def _cmd_repl(args) -> int:
                 continue
             env = {k: v for k, v in session.items() if isinstance(v, (GammaElement,)) or v is INF}
             _repl_print(eval_term(parse_term(line), env))
-        except (CliError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
 
 
@@ -487,7 +490,7 @@ def _build_parser() -> _Parser:
     p = add("clique", _cmd_clique, help="maximum equilateral clique of a sample")
     p.add_argument("--phi", required=True)
     p.add_argument("--point", action="append", help="element literal (repeatable)")
-    p.add_argument("--file", help="JSON array of element literals")
+    p.add_argument("--file", help='JSON array of element strings, e.g. ["[1]", "[1, 1]"]')
 
     p = add("recover", _cmd_recover, help="recover an affine map from probe evaluations")
     p.add_argument("--file", required=True, help='JSON {"evals": [{"args": [...], "value": "[...]"}]}')

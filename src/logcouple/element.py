@@ -170,10 +170,6 @@ class GammaElement:
         return _QZERO
 
     @property
-    def support(self) -> Tuple[int, ...]:
-        return tuple(i for i, _ in self._coords)
-
-    @property
     def is_zero(self) -> bool:
         return not self._coords
 

@@ -41,7 +41,6 @@ from .element import (
     json_int,
     parse_element,
     parse_rational,
-    psi,
     psi_point,
     psi_point_index,
 )
@@ -816,65 +815,80 @@ def recover(evals: Iterable[Tuple[Sequence[int], GammaElement]]) -> PsiFunction:
     missing = [p for p in probes if p not in table]
     if missing:
         raise ValueError(f"missing required probes: {missing}")
+    if not all(isinstance(table[p], GammaElement) for p in probes):  # no map takes the value inf
+        raise ValueError("inconsistent evaluations")
     base_val = table[probes[0]]
-    bump = psi_point(2) - psi_point(1)  # = e_1
     coeffs: Dict[int, Fraction] = {}
     for i in range(arity):
-        diff = table[probes[i + 1]] - base_val
-        q = diff.coord(1)
-        if diff != bump * q:
-            raise ValueError("inconsistent evaluations")
+        q = (table[probes[i + 1]] - base_val).coord(1)
         if q:
             coeffs[i] = q
     offset = base_val - psi_point(1) * sum(coeffs.values())
     F = PsiFunction(coeffs, offset)
-    for key, value in table.items():
-        if F.evaluate(dict(enumerate(key))) != value:
+    # The probes first, so that a bad probe is reported before any extra
+    # evaluation, and at each key an index below 1 before the value.  F is
+    # built at a key only when sum q_l E_{n_l} has as many nonzero
+    # coordinates as value - offset, so its cost is bounded by the input,
+    # however large the key's indices.
+    for key in sorted(table, key=lambda key: key not in probes):
+        value, size = table[key], _staircase_size(coeffs, key)
+        if (
+            not isinstance(value, GammaElement)
+            or size != len((value - offset).items())
+            or F.evaluate(dict(enumerate(key))) != value
+        ):
             raise ValueError("inconsistent evaluations")
     return F
+
+
+def _staircase_size(coeffs: Mapping[int, Fraction], key: Sequence[int]) -> int:
+    """The number of nonzero coordinates of sum q_l E_{n_l}, q_l = coeffs[l]
+    and n_l = key[l], read off the runs of equal coordinates between the
+    sorted indices as in ``PsiFunction.evaluate``."""
+    drops = sorted(((key[l], q) for l, q in coeffs.items()), reverse=True)
+    if any(n < 1 for n, _ in drops):
+        raise ValueError("psi indices start at 1")
+    size, total, top = 0, 0, 0
+    for n, q in drops:
+        if total:
+            size += top - n
+        total, top = total + q, n
+    return size + top if total else size
 
 
 # -- equilateral sets ----------------------------------------------------------
 
 
 def equilateral_max_clique(sample: Sequence[GammaElement], phi: GammaElement) -> List[GammaElement]:
-    """A maximum subset whose pairwise psi-differences all equal phi
-    (exhaustive branch-and-bound clique search; intended for samples of a
-    couple dozen points)."""
-    if phi is INF or psi_point_index(phi) is None:
+    """A maximum subset of the sample whose pairwise psi-differences all
+    equal phi = E_k, in sample order.
+
+    psi(a - b) = E_k exactly when a - b has leading index k - 1, that is
+    when a and b agree on coordinates 0..k-2 and differ at k-1.  So an
+    equilateral set lies in one class of points with a common prefix
+    ``p.truncate(k - 1)``, and it is equilateral iff its coordinates k - 1
+    are pairwise distinct: a clique of a class takes at most one point per
+    value there, and one point per value is a clique.  The largest class
+    by number of values gives a maximum clique.  Of all maximum cliques
+    this returns the one whose sorted sample positions are
+    lexicographically least: in each class the first position of each
+    value, and of the classes with the most values the one whose
+    positions come first."""
+    k = psi_point_index(phi)
+    if k is None:
         raise ValueError("phi must be a finite psi point")
     points = list(sample)
-    n = len(points)
-    if len(set(points)) != n:
+    if not all(isinstance(p, GammaElement) for p in points):
+        raise ValueError("sample points must be group elements")
+    if len(set(points)) != len(points):
         raise ValueError("sample must be pairwise distinct")
-    if n > 32:
-        raise ValueError("exhaustive clique search supports at most 32 points")
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if psi(points[i] - points[j]) == phi:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    best = 0
-    best_mask = 0
-
-    def expand(cand: int, cur_mask: int, size: int) -> None:
-        nonlocal best, best_mask
-        if size + bin(cand).count("1") <= best:
-            return
-        if not cand:
-            if size > best:
-                best, best_mask = size, cur_mask
-            return
-        while cand:
-            if size + bin(cand).count("1") <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            expand(cand & adj[v], cur_mask | (1 << v), size + 1)
-
-    expand((1 << n) - 1, 0, 0)
-    return [points[i] for i in range(n) if best_mask >> i & 1]
+    classes: Dict[Tuple[Fraction, ...], Dict[Fraction, int]] = {}
+    for i, p in enumerate(points):
+        classes.setdefault(p.truncate(k - 1), {}).setdefault(p.coord(k - 1), i)
+    best = min(
+        (list(c.values()) for c in classes.values()), key=lambda pos: (-len(pos), pos), default=[]
+    )
+    return [points[i] for i in best]
 
 
 # -- sampling ------------------------------------------------------------------
@@ -887,7 +901,10 @@ _SAMPLE_ROUNDS = 24
 def sample_points(X, count: int) -> List[GammaElement]:
     """A deterministic sample of distinct points of X, enumerated by
     increasing index budget (at most ``_SAMPLE_ROUNDS``)."""
-    parts = _component_parts(X)
+    # an empty constrained component yields no point in any round
+    parts = [
+        (F, atoms) for F, atoms in _component_parts(X) if not atoms or solve_min(F.labels, atoms) is not None
+    ]
     seen = set()
     out: List[GammaElement] = []
     for t in range(1, _SAMPLE_ROUNDS + 1):

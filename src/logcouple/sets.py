@@ -33,9 +33,9 @@ from .element import (
 from .psifun import (
     Component,
     ConstrainedImage,
-    PsiFunction,
     _capped_sweep,
     _component_parts,
+    _components,
     _denominator,
     component_to_json,
     contains as image_contains,
@@ -98,12 +98,6 @@ class Interval:
 FULL_LINE = Interval(None, None)
 
 
-def _core_components(core) -> Tuple[Component, ...]:
-    if isinstance(core, (PsiFunction, ConstrainedImage)):
-        return (core,)
-    return tuple(core)
-
-
 @dataclass(frozen=True)
 class ThickenedSmall:
     """core + Delta_xi: a small set fattened by the convex subgroup at
@@ -113,7 +107,7 @@ class ThickenedSmall:
     thicken: Phi = PHI_INF
 
     def __init__(self, core, thicken: Phi = PHI_INF):
-        object.__setattr__(self, "core", _core_components(core))
+        object.__setattr__(self, "core", tuple(_components(core)))
         object.__setattr__(self, "thicken", thicken)
 
     @property
@@ -427,15 +421,11 @@ def rep_from_json(obj: Mapping) -> Rep:
     products = obj["products"]
     if not all(isinstance(product, list) for product in products):
         raise ValueError("each product of a definable-set rep is a list of components")
-    if arity == 1:
-        comps = []
-        for product in products:
-            for c in product:
-                comps.append(_unary_component_from_json(c))
-        return UnaryRep(comps)
     parsed = []
     for product in products:
         if len(product) != arity:
             raise ValueError("product length does not match arity")
-        parsed.append(tuple(UnaryRep([_unary_component_from_json(c)]) for c in product))
-    return NaryRep(arity, parsed)
+        parsed.append([_unary_component_from_json(c) for c in product])
+    if arity == 1:
+        return UnaryRep(product[0] for product in parsed)
+    return NaryRep(arity, [tuple(UnaryRep([c]) for c in product) for product in parsed])

@@ -219,6 +219,16 @@ BAD_INPUTS = {
     "arity-negative.json": {"arity": -1, "products": []},
     "label-twice.json": {"coeffs": {"x0": "1", "x00": "-1"}},
     "le-with-j.json": {"coeffs": {"x0": "1", "x1": "-1"}, "constraints": [{"kind": "le", "i": 0, "j": 1, "c": 3}]},
+    "points-number.json": 5,
+    "points-numbers.json": [1, 2],
+    "points-object.json": {"[1]": 0, "[1, 1]": 0},
+    "points-string.json": "[1]",
+    "unary-two-factors.json": {
+        "arity": 1,
+        "products": [[{"kind": "interval", "lo": "-inf", "hi": "+inf"}, {"kind": "small", "core": []}]],
+    },
+    "unary-no-factor.json": {"arity": 1, "products": [[]]},
+    "value-inf.json": {"evals": [{"args": [1], "value": "inf"}, {"args": [2], "value": "[1]"}]},
 }
 
 
@@ -273,6 +283,13 @@ class TestInputErrors:
             (["dim", "--rep", "arity-negative.json", "--phi", "s^3"], "must be at least 1: -1"),
             (["count", "--file", "label-twice.json", "--k", "1..2"], "x0 is spelled twice: 'x00'"),
             (["drank", "--file", "le-with-j.json"], "le bounds one variable and takes no 'j': 1"),
+            (["clique", "--phi", "s^1", "--file", "points-number.json"], "JSON array of element strings"),
+            (["clique", "--phi", "s^1", "--file", "points-numbers.json"], "JSON array of element strings"),
+            (["clique", "--phi", "s^1", "--file", "points-object.json"], "JSON array of element strings"),
+            (["clique", "--phi", "s^1", "--file", "points-string.json"], "JSON array of element strings"),
+            (["dim", "--rep", "unary-two-factors.json", "--phi", "s^3"], "product length does not match arity"),
+            (["dim", "--rep", "unary-no-factor.json", "--phi", "s^3"], "product length does not match arity"),
+            (["recover", "--file", "value-inf.json"], "inconsistent evaluations"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):
@@ -321,6 +338,14 @@ class TestOtherVerbs:
             "[1, 1, 1]",
         )
         assert code == 0 and out.splitlines()[0] == "size\t2"
+
+    def test_clique_file_has_no_size_cap(self, capsys, tmp_path):
+        # forty points with one prefix [1] and forty values at coordinate 1
+        points = [f"[1, {i}]" for i in range(1, 41)]
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(points[1:]))
+        code, out = run(capsys, "clique", "--phi", "s^2", "--point", points[0], "--file", str(path), "--json")
+        assert code == 0 and json.loads(out) == {"size": 40, "clique": points}
 
     def test_recover(self, capsys, tmp_path):
         hidden = parse_linear("2x0 - x1 + [1]")

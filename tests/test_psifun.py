@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -12,6 +13,7 @@ from logcouple.element import (
     INF,
     ZERO,
     parse_element,
+    psi,
     psi_point,
     unit,
 )
@@ -596,6 +598,16 @@ class TestConstrained:
         assert C.is_empty()
         assert member_constrained(ZERO, C) is None
 
+    def test_sample_of_empty_component_is_immediate(self):
+        # the component is skipped, not tried over every round of indices
+        C = ConstrainedImage(
+            fn("x0 - x1 + x2 - x3"),
+            (Atom("diff_le", i=0, j=1, c=-1), Atom("diff_le", i=1, j=0, c=-1)),
+        )
+        start = time.perf_counter()
+        assert sample_points([C], 5) == []
+        assert time.perf_counter() - start < 0.1
+
     def test_repr_prints_atoms(self):
         C = ConstrainedImage(
             fn("x0 - x1 + x2"),
@@ -901,6 +913,31 @@ class TestConstrainedDerivedSets:
 
 
 class TestRecover:
+    def test_huge_extra_index_refused_at_once(self):
+        # the value has no coordinate, F there would have about 10^9
+        hidden = parse_linear("x0 - 2x1 + [1, 2]")
+        evals = [(args, hidden.evaluate(args)) for args in recovery_probes(2)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="inconsistent evaluations"):
+            recover(evals + [((123456789, 1), ZERO)])
+        assert time.perf_counter() - start < 0.1
+
+    def test_huge_indices_that_cancel_verified(self):
+        hidden = parse_linear("x0 - x1 + [3]")
+        evals = [(args, hidden.evaluate(args)) for args in recovery_probes(2)]
+        extra = (123456789, 123456786)
+        assert recover(evals + [(extra, hidden.evaluate(extra))]) == hidden
+        with pytest.raises(ValueError, match="inconsistent evaluations"):
+            recover(evals + [(extra, hidden.evaluate(extra) + unit(123456787))])
+
+    def test_infinite_value_refused(self):
+        hidden = parse_linear("x0")
+        for i in range(2):
+            evals = [(args, hidden.evaluate(args)) for args in recovery_probes(1)]
+            evals[i] = (evals[i][0], INF)
+            with pytest.raises(ValueError, match="inconsistent evaluations"):
+                recover(evals)
+
     def test_example(self):
         hidden = parse_linear("2x0 - x1 + [1]")
         evals = [(args, hidden.evaluate(args)) for args in recovery_probes(2)]
@@ -946,7 +983,45 @@ class TestRecover:
             assert recover(evals) == hidden
 
 
+def first_max_clique(sample, phi):
+    """Independent oracle: the maximum equilateral subset whose increasing
+    sample positions come first lexicographically, by brute force over all
+    subsets."""
+    n = len(sample)
+    adjacent = [[psi(a - b) == phi for b in sample] for a in sample]
+    cliques = (
+        combo
+        for size in range(n + 1)
+        for combo in itertools.combinations(range(n), size)
+        if all(adjacent[i][j] for i, j in itertools.combinations(combo, 2))
+    )
+    return [sample[i] for i in min(cliques, key=lambda combo: (-len(combo), combo))]
+
+
 class TestEquilateral:
+    def test_first_maximum_clique_by_position(self):
+        rng = random.Random(1204)
+        sizes = set()
+        for _ in range(300):
+            # few prefixes and few values, so classes, ties and repeats occur
+            support = rng.randint(1, 6)
+            pool = {GammaElement({i: rng.randint(-1, 1) for i in range(support)}) for _ in range(12)}
+            sample = rng.sample(sorted(pool), min(len(pool), rng.randint(0, 12)))
+            for k in range(1, 7):
+                best = equilateral_max_clique(sample, psi_point(k))
+                assert best == first_max_clique(sample, psi_point(k)), (sample, k)
+                sizes.add(len(best))
+        assert {0, 1, 2, 3} <= sizes
+
+    def test_forty_points(self):
+        sample = [GammaElement({0: 1, 1: i}) for i in range(40)]
+        assert equilateral_max_clique(sample, psi_point(2)) == sample
+        assert len(equilateral_max_clique(sample, psi_point(1))) == 1
+
+    def test_rejects_infinite_point(self):
+        with pytest.raises(ValueError, match="group elements"):
+            equilateral_max_clique([el("[1]"), INF], psi_point(1))
+
     def test_pair_table_example(self):
         sample = [unit(1) + unit(2), unit(1) + unit(3), unit(1) + unit(4)]
         best = equilateral_max_clique(sample, psi_point(3))
