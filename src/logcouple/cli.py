@@ -8,7 +8,9 @@ the shipped model).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -432,7 +434,12 @@ def _cmd_repl(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use.  It keeps no
+    state between calls: every ``parse_args`` makes a new Namespace, and
+    the repeatable options (``--env``, ``--point``) default to None, so
+    each call starts its own list."""
     parser = _Parser(prog="logcouple", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -446,6 +453,9 @@ def _build_parser() -> _Parser:
     p.add_argument("term")
     p.add_argument("--env", action="append", metavar="NAME=ELEM")
 
+    # These four closures capture psi, integral, succ and pred when the
+    # parser is built, so rebinding those names on this module later does
+    # not reach them; every _cmd_* function looks its callees up when it runs.
     for name, fn in (("psi", psi), ("int", integral), ("s", succ), ("p", pred)):
         p = add(name, _primitive_cmd(fn), help=f"apply {name} to an element")
         p.add_argument("element")
@@ -504,10 +514,23 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = _build_parser().parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, which is not an input error: stop quietly,
+        # and point stdout at devnull so the interpreter's final flush of
+        # what is still buffered raises nothing either.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no stdout, or not a file
+            return 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0
     except (ValueError, OSError, KeyError) as exc:  # CliError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -44,8 +44,13 @@ def _ladder(a: GammaElement, k: int) -> GammaElement:
 
 
 def run_identity_suite(n: int, seed: int) -> List[CheckLine]:
+    if n < 1:
+        raise ValueError("the identity suite needs n >= 1")
     rng = random.Random(seed)
     elements = [_ladder(random_element(rng), rng.choice((0, 0, 0, 1, 2, 3, 4, 5))) for _ in range(n)]
+    succs = [succ(a) for a in elements]
+    integrals = [integral(a) for a in elements]
+    psis = [psi(a) for a in elements]
 
     integral_identity = CheckLine("integral identity: int(a) = a - s(a)")
     round_trip = CheckLine("integral round trip: int(a) + psi(int(a)) = a")
@@ -57,8 +62,9 @@ def run_identity_suite(n: int, seed: int) -> List[CheckLine]:
     ultrametric = CheckLine("psi(a + b) >= min(psi(a), psi(b))")
 
     for idx, a in enumerate(elements):
-        b = succ(a)
-        ia = integral(a)
+        nxt = (idx + 1) % n
+        other = elements[nxt]
+        b, ia, pa = succs[idx], integrals[idx], psis[idx]
         integral_identity.record(ia == a - b)
         round_trip.record(ia + psi(ia) == a)
         fixed_ok = psi(a - b) == b
@@ -69,19 +75,18 @@ def run_identity_suite(n: int, seed: int) -> List[CheckLine]:
             fixed_ok = fixed_ok and psi(a - b2) != b2
         fixed_point.record(fixed_ok)
         if not a.is_zero:
-            psi_even.record(psi(a) == psi(-a))
-            psi_scale.record(psi(a * random_rational(rng, 99)) == psi(a))
-        other = elements[(idx + 1) % len(elements)]
+            psi_even.record(pa == psi(-a))
+            psi_scale.record(psi(a * random_rational(rng, 99)) == pa)
         if a < other:
-            monotone.record(integral(a) < integral(other))
+            monotone.record(ia < integrals[nxt])
         elif other < a:
-            monotone.record(integral(other) < integral(a))
-        sa, sb = succ(a), succ(other)
+            monotone.record(integrals[nxt] < ia)
+        sa, sb = b, succs[nxt]
         if compare(sa, sb) < 0:
             successor.record(psi(other - a) == sa)
         elif compare(sb, sa) < 0:
             successor.record(psi(a - other) == sb)
-        pa, pb = psi(a), psi(other)
+        pb = psis[nxt]
         lo = pa if compare(pa, pb) <= 0 else pb
         ultrametric.record(compare(psi(a + other), lo) >= 0)
 

@@ -21,11 +21,12 @@ common denominator D, the lcm of the denominators of all coefficients and
 of the first k offset coordinates of every component, so the vectors of
 all components are unioned as integer tuples.  ``project_set`` returns
 them, with D, as a read-only ``QuotientImage`` and makes no Fraction
-while it computes: its length is the count (``count_function``), a
+while it computes: its length is the count at depth k, a
 membership query is scaled by D and looked up among the integer vectors,
 and iteration yields sorted Fraction tuples, one Fraction per distinct
 value.  The limit-point probe (``psifun.limit_point_probe``) runs the
-same sweep once per component for all depths up to its own.
+same sweep once per component for all depths up to its own, and so does
+``count_function`` for a table, to its largest k.
 """
 
 from __future__ import annotations
@@ -192,9 +193,28 @@ def project_set(X, k: int) -> QuotientImage:
 
 
 def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:
-    """Exact quotient cardinalities |projection at s^k0| for each k: the
-    length of ``project_set``, which makes no Fraction."""
-    return [(k, len(project_set(X, k))) for k in ks]
+    """Exact quotient cardinalities |projection at s^k0| for each k, in the
+    order of ks (repeats kept).  One capped-profile sweep per component
+    runs to K = max(ks) over D, the denominator at K; its states after
+    coordinate k - 1 are those of the depth-k sweep, and D is a multiple
+    of the denominator at every smaller k, so the number of distinct
+    vectors in the union of the components' depth-k states is
+    ``len(project_set(X, k))``.  Only one depth's vectors are held at a
+    time, and no Fraction is made."""
+    ks = list(ks)
+    if any(k < 1 for k in ks):
+        raise ValueError("projection depth must be >= 1")
+    if not ks:
+        return []
+    parts = _component_parts(X)
+    K = max(ks)
+    D = _denominator(parts, K)
+    sweeps = [_capped_sweep(F, atoms, K, D) for F, atoms in parts]
+    counts = dict.fromkeys(ks, 0)
+    for k, layers in enumerate(zip(*sweeps), 1):
+        if k in counts:
+            counts[k] = len({vec for states in layers for vec, _, _ in states})
+    return [(k, counts[k]) for k in ks]
 
 
 def closed_discrete_certificate(X, phi: Phi) -> Tuple[TruncatedVector, ...]:

@@ -1,10 +1,15 @@
 """Command-line interface tests (direct main() calls)."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
-from logcouple.cli import main
+import logcouple
+from logcouple.cli import _build_parser, main
 from logcouple.element import parse_element
 from logcouple.psifun import component_to_json, fig2_set, psifunction_to_json, parse_linear
 from logcouple.quotient import Phi
@@ -290,6 +295,7 @@ class TestInputErrors:
             (["dim", "--rep", "unary-two-factors.json", "--phi", "s^3"], "product length does not match arity"),
             (["dim", "--rep", "unary-no-factor.json", "--phi", "s^3"], "product length does not match arity"),
             (["recover", "--file", "value-inf.json"], "inconsistent evaluations"),
+            (["identities", "--n", "0"], "n >= 1"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):
@@ -417,3 +423,115 @@ class TestRepl:
         assert main(["repl"]) == 0
         out = capsys.readouterr().out
         assert "[3]" in out
+
+
+# One argv per verb, parsed but not run, so no input file needs to exist.
+VERB_ARGVS = [
+    ["eval", "x + y", "--env", "x=[1]", "--env", "y=[0, 2]", "--json"],
+    ["psi", "[1, 1]"],
+    ["int", "[1]", "--json"],
+    ["s", "[]"],
+    ["p", "[2]"],
+    ["dset", "--union", "x0-x1"],
+    ["drank", "--file", "u.json", "--json"],
+    ["member", "--union", "x0-x1", "--gamma", "[1]"],
+    ["project", "[1, 2]", "--k", "3"],
+    ["project-set", "--file", "u.json", "--k", "2"],
+    ["count", "--union", "x0", "--k", "1..4", "--fit"],
+    ["dim", "--rep", "r.json", "--phi", "s^2,inf"],
+    ["crosscheck", "--rep", "r.json", "--phi", "s^3"],
+    ["witness", "[0, 1]"],
+    ["clique", "--phi", "s^2", "--point", "[1]", "--point", "[1, 1]"],
+    ["recover", "--file", "e.json"],
+    ["identities", "--n", "5", "--seed", "2"],
+    ["repl"],
+]
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_env_does_not_leak_into_the_next_call(self, capsys):
+        assert main(["eval", "x", "--env", "x=[1]"]) == 0
+        assert capsys.readouterr().out == "[1]\n"
+        assert main(["eval", "x"]) == 1
+        assert capsys.readouterr().err == "error: unbound variable 'x'\n"
+
+    def test_failure_does_not_change_the_next_call(self, capsys):
+        good = ["clique", "--phi", "s^2", "--point", "[1]", "--point", "[1, 1]"]
+        assert main(good) == 0
+        alone = capsys.readouterr()
+        for bad in (
+            ["clique", "--phi", "s^2", "--point", "[1, 2]", "--point", "inf"],
+            ["clique", "--point", "[5]"],
+            ["count", "--union", "x0", "--k", "0"],
+        ):
+            assert main(bad) == 1
+            capsys.readouterr()
+            assert main(good) == 0
+            assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]])
+    def test_help_is_the_same_on_every_call(self, capsys, argv):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("usage: logcouple")
+
+    def test_threads_parse_like_a_serial_run(self):
+        serial = [vars(_build_parser().parse_args(argv)) for argv in VERB_ARGVS]
+        results = [None] * 8
+
+        def work(slot):
+            results[slot] = [[vars(_build_parser().parse_args(argv)) for argv in VERB_ARGVS] for _ in range(50)]
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[serial] * 50] * len(results)
+
+
+def _cli_env(unbuffered: bool):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(logcouple.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early is not an input error: the CLI
+    stops with exit 0 and writes nothing to stderr.  Unbuffered, the first
+    print meets the closed pipe; buffered, main's final flush does."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_no_reader(self, unbuffered):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "logcouple.cli", "identities", "--n", "20"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_cli_env(unbuffered),
+        )
+        proc.stdout.close()  # before the child writes anything
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_identities_into_head(self):
+        script = f'set -o pipefail; "{sys.executable}" -m logcouple.cli identities --n 20000 | head -n 1'
+        proc = subprocess.run(["bash", "-c", script], capture_output=True, env=_cli_env(True), timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"PASS\tintegral identity")

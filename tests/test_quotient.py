@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from logcouple import quotient
 from logcouple.element import ZERO, GammaElement, parse_element, psi, psi_point, compare
 from logcouple.psifun import (
     Atom,
@@ -342,8 +343,49 @@ class TestCount:
                 offset = GammaElement((i, Fraction(rng.randint(-3, 3), rng.randint(1, 5))) for i in range(rng.randint(0, 4)))
                 F = PsiFunction(coeffs, offset)
                 X.append(ConstrainedImage(F, random_atoms(rng, arity)) if arity and rng.random() < 0.5 else F)
-            ks = range(1, 6)
-            assert count_function(X, ks) == [(k, len(project_set(X, k))) for k in ks], X
+            for ks in (range(1, 6), [5, 2, 5], [3]):
+                assert count_function(X, ks) == [(k, len(project_set(X, k))) for k in ks], (X, ks)
+
+    @pytest.mark.parametrize(
+        "X, ks",
+        [
+            # offset denominators 7 and 3 first appear beyond the smallest k
+            ([parse_linear("x0 - x1 + [0, 0, 0, 1/7, 2/3]")], [1, 5, 2, 4]),
+            ([parse_linear("x0 - x1 + [0, 0, 0, 1/7, 2/3]")], [6, 6, 3]),
+            # three components whose images share vectors
+            (
+                [
+                    parse_linear("x0"),
+                    parse_linear("x1 + [0]"),
+                    ConstrainedImage(parse_linear("x0 - x1 + x2"), (Atom("diff_eq", 0, 0, 1),)),
+                ],
+                [4, 1, 3],
+            ),
+            ([fig2_set(), parse_linear("x0 - x1"), parse_linear("1/2x0 + [0, 1/3]")], [2, 6, 1, 6]),
+            ([], [3, 1, 3]),
+        ],
+    )
+    def test_equals_size_of_project_set_in_any_order(self, X, ks):
+        assert count_function(X, ks) == [(k, len(project_set(X, k))) for k in ks]
+
+    def test_one_sweep_per_component(self, monkeypatch):
+        depths = []
+        sweep = quotient._capped_sweep
+
+        def counting(F, atoms, k, D, target=None):
+            depths.append(k)
+            return sweep(F, atoms, k, D, target)
+
+        monkeypatch.setattr(quotient, "_capped_sweep", counting)
+        X = [fig2_set(), parse_linear("x0 - x1"), parse_linear("x0")]
+        assert count_function(X, [4, 2, 7, 7]) == [(k, len(project_set(X, k))) for k in (4, 2, 7, 7)]
+        # project_set's own sweeps come after count_function's three
+        assert depths[:3] == [7, 7, 7] and len(depths) == 3 + 4 * len(X)
+        depths.clear()
+        with pytest.raises(ValueError, match="projection depth must be >= 1"):
+            count_function(X, [3, 0, 2])
+        assert depths == []
+        assert count_function(X, []) == [] and depths == []
 
     def test_fit(self):
         table = count_function(fig2_set(), range(1, 9))
