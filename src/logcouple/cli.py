@@ -21,6 +21,7 @@ from .element import (
     format_element,
     integral,
     parse_element,
+    parse_integer,
     pred,
     psi,
     small_diff_witness,
@@ -85,11 +86,11 @@ def _parse_env(pairs: Optional[List[str]]) -> Dict[str, GammaExt]:
 def _parse_k_range(text: str) -> List[int]:
     if ".." in text:
         a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
+        lo, hi = parse_integer(a), parse_integer(b)
         if lo < 1 or hi < lo:
             raise CliError(f"bad range {text!r}")
         return list(range(lo, hi + 1))
-    k = int(text)
+    k = parse_integer(text)
     if k < 1:
         raise CliError("k must be >= 1")
     return [k]
@@ -345,13 +346,14 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    lines = run_identity_suite(args.n, args.seed)
+    n, seed = parse_integer(args.n), parse_integer(args.seed)
+    lines = run_identity_suite(n, seed)
     ok = suite_passed(lines)
     text = [
         f"{'PASS' if line.passed else 'FAIL'}\t{line.name}\tchecked={line.checked}\tfailures={line.failures}"
         for line in lines
     ]
-    text.append(f"{'PASS' if ok else 'FAIL'}\tidentity suite (n={args.n}, seed={args.seed})")
+    text.append(f"{'PASS' if ok else 'FAIL'}\tidentity suite (n={n}, seed={seed})")
     _emit(
         args,
         {
@@ -506,8 +508,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--file", required=True, help='JSON {"evals": [{"args": [...], "value": "[...]"}]}')
 
     p = add("identities", _cmd_identities, help="run the seeded identity suite")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", default="10000")
+    p.add_argument("--seed", default="0")
 
     add("repl", _cmd_repl, help="interactive session")
     return parser

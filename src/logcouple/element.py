@@ -10,15 +10,20 @@ that makes every primitive total.
 
 All values are immutable and all operations are pure.
 
-An element stores its coordinates as a canonical tuple of (index, value)
-pairs: sorted by index, no zero value, every value a ``Fraction``.  The
-public constructor ``GammaElement(...)`` accepts any pairs and validates
-and normalises them.  The private ``_element(coords)`` wraps a tuple that
-is already canonical and checks nothing; only this module and
-``PsiFunction.evaluate`` call it, and only with tuples derived from
-canonical ones (a merge of two sorted tuples that drops zero sums, a
-negation, a product with a nonzero ``Fraction``, the staircase point
-E_n, a staircase of running sums that skips zero ones).  Everything
+An element stores one positive integer denominator ``den`` and a tuple of
+(index, numerator) pairs with integer numerators: sorted by index, no zero
+numerator, and ``gcd(den, *numerators) == 1``; zero is ``den = 1`` and no
+pairs.  Coordinate n is its numerator over ``den``, and ``items()``,
+``coord``, ``truncate`` and ``leading_coeff`` show it as a ``Fraction``.
+The public constructor ``GammaElement(...)`` accepts any (index, value)
+pairs and validates and normalises them.  The private
+``_element(den, nums)`` wraps a pair that is already canonical and checks
+nothing; only this module and ``PsiFunction.evaluate`` call it, and only
+with numerators derived from canonical ones and reduced by their common
+factor with the denominator (a merge of two sorted tuples over the
+least common multiple of their denominators that drops zero sums, a
+negation, a product with a nonzero rational, the staircase point E_n, a
+staircase of integer running sums that skips zero ones).  Everything
 else goes through the public constructor.
 """
 
@@ -26,7 +31,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "GammaElement",
@@ -39,6 +45,7 @@ __all__ = [
     "is_psi_point",
     "parse_element",
     "format_element",
+    "parse_integer",
     "parse_rational",
     "format_rational",
     "json_int",
@@ -57,7 +64,6 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 _QZERO = Fraction(0)
-_QONE = Fraction(1)
 
 
 class _Infinity:
@@ -135,95 +141,121 @@ INF = _Infinity()
 class GammaElement:
     """A finitely supported rational sequence, kept in canonical sparse form.
 
-    No zero coordinate is ever stored, so structural equality coincides
-    with semantic equality and hashing is canonical.
+    Coordinate n is ``c / den`` for one positive integer ``den`` and the
+    integer numerator c of the pair (n, c) in ``_nums``.  No zero numerator
+    is stored and ``gcd(den, *numerators) == 1``, so structural equality
+    coincides with semantic equality and hashing is canonical.
     """
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, coords: Union[Mapping[int, Rational], Iterable[Tuple[int, Rational]]] = ()):
         if isinstance(coords, Mapping):
             items = coords.items()
         else:
             items = coords
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rational] = {}
         for n, q in items:
-            if json_int(n, "a coordinate index must be an integer") < 0:
-                raise ValueError("coordinate index must be >= 0")
-            q = _rational(q, f"coordinate {n} must be an int or a Fraction")
-            if q:
-                acc[n] = acc.get(n, Fraction(0)) + q
-                if not acc[n]:
-                    del acc[n]
-        self._coords = tuple(sorted(acc.items()))
+            _index(n)
+            if not isinstance(q, Fraction):
+                json_int(q, f"coordinate {n} must be an int or a Fraction")
+            acc[n] = acc[n] + q if n in acc else q
+        # Over the least common multiple of the reduced denominators, the
+        # numerators share no factor with it: a prime at its highest power
+        # in one denominator does not divide that value's scaled numerator.
+        pairs = sorted((n, q) for n, q in acc.items() if q)
+        den = lcm(*(q.denominator for _, q in pairs))
+        self._den = den
+        self._nums = tuple((n, q.numerator * (den // q.denominator)) for n, q in pairs)
 
     @classmethod
     def from_list(cls, values: Iterable[Rational]) -> "GammaElement":
         return cls(enumerate(values))
 
     def coord(self, n: int) -> Fraction:
-        for i, q in self._coords:
+        for i, c in self._nums:
             if i == n:
-                return q
+                return Fraction(c, self._den)
             if i > n:
                 break
         return _QZERO
 
     @property
     def is_zero(self) -> bool:
-        return not self._coords
+        return not self._nums
 
     @property
     def leading_index(self) -> int:
         """Index of the first nonzero coordinate. Raises on zero."""
-        if not self._coords:
+        if not self._nums:
             raise ValueError("the zero element has no leading index")
-        return self._coords[0][0]
+        return self._nums[0][0]
+
+    @property
+    def last_index(self) -> int:
+        """Index of the last nonzero coordinate. Raises on zero."""
+        if not self._nums:
+            raise ValueError("the zero element has no last index")
+        return self._nums[-1][0]
 
     @property
     def leading_coeff(self) -> Fraction:
-        if not self._coords:
+        if not self._nums:
             raise ValueError("the zero element has no leading coefficient")
-        return self._coords[0][1]
+        return Fraction(self._nums[0][1], self._den)
 
     def truncate(self, k: int) -> Tuple[Fraction, ...]:
         """The first k coordinates as a dense tuple (zeros kept)."""
         dense = [_QZERO] * k
-        for i, q in self._coords:
+        for i, c in self._nums:
             if i >= k:
                 break
-            dense[i] = q
+            dense[i] = Fraction(c, self._den)
         return tuple(dense)
 
+    def prefix_numerators(self, k: int) -> Tuple[int, List[int]]:
+        """(d, nums) with coordinate i < k equal to nums[i] / d, where d is
+        the least common denominator of those k coordinates."""
+        nums = [0] * k
+        for i, c in self._nums:
+            if i >= k:
+                break
+            nums[i] = c
+        g = gcd(self._den, *nums)
+        if g == 1:
+            return self._den, nums
+        return self._den // g, [c // g for c in nums]
+
     def items(self) -> Tuple[Tuple[int, Fraction], ...]:
-        return self._coords
+        """The nonzero coordinates as sorted (index, value) pairs."""
+        den = self._den
+        return tuple((n, Fraction(c, den)) for n, c in self._nums)
 
     # -- group structure --------------------------------------------------
 
     def __add__(self, other: object):
         if isinstance(other, GammaElement):
-            return _element(_merge(self._coords, other._coords, False))
+            return _combine(self, other, 1)
         if other is INF:
             return INF
         return NotImplemented
 
     def __sub__(self, other: object):
         if isinstance(other, GammaElement):
-            return _element(_merge(self._coords, other._coords, True))
+            return _combine(self, other, -1)
         if other is INF:
             return INF
         return NotImplemented
 
     def __neg__(self) -> "GammaElement":
-        return _element(tuple((n, -q) for n, q in self._coords))
+        return _element(self._den, tuple((n, -c) for n, c in self._nums))
 
     def __mul__(self, q: object):
         if isinstance(q, (int, Fraction)):
             if not q:
                 return ZERO
-            if not isinstance(q, Fraction):
-                q = Fraction(q)
-            return _element(tuple((n, q * c) for n, c in self._coords))
+            den, p = self._den * q.denominator, q.numerator
+            return _reduced(den, [(n, p * c) for n, c in self._nums], den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -235,34 +267,30 @@ class GammaElement:
 
     def _cmp(self, other: "GammaElement") -> int:
         # sign of self - other without allocating the difference
-        a, b = self._coords, other._coords
-        i = j = 0
-        while i < len(a) and j < len(b):
-            na, qa = a[i]
-            nb, qb = b[j]
-            if na < nb:
-                return 1 if qa > 0 else -1
-            if nb < na:
-                return -1 if qb > 0 else 1
-            if qa != qb:
-                return 1 if qa > qb else -1
-            i += 1
-            j += 1
-        if i < len(a):
-            return 1 if a[i][1] > 0 else -1
-        if j < len(b):
-            return -1 if b[j][1] > 0 else 1
+        a, b = self._nums, other._nums
+        da, db = self._den, other._den
+        for (na, ca), (nb, cb) in zip(a, b):
+            if na != nb:
+                # the smaller index is a coordinate of one side only
+                return (1 if ca > 0 else -1) if na < nb else (-1 if cb > 0 else 1)
+            ua, ub = ca * db, cb * da
+            if ua != ub:
+                return 1 if ua > ub else -1
+        if len(a) > len(b):
+            return 1 if a[len(b)][1] > 0 else -1
+        if len(b) > len(a):
+            return -1 if b[len(a)][1] > 0 else 1
         return 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
-            return self._coords == other._coords
+            return self._den == other._den and self._nums == other._nums
         if other is INF:
             return False
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coords)
+        return hash((self._den, self._nums))
 
     def __lt__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
@@ -299,63 +327,98 @@ class GammaElement:
 GammaExt = Union[GammaElement, _Infinity]
 
 
-def _element(coords: Tuple[Tuple[int, Fraction], ...]) -> GammaElement:
-    """The trusted constructor: wrap a coordinate tuple that is already
-    canonical (see the module docstring) without checking it."""
+def _element(den: int, nums: Tuple[Tuple[int, int], ...]) -> GammaElement:
+    """The trusted constructor: wrap a denominator and numerator tuple that
+    are already canonical (see the module docstring) without checking them."""
     out = object.__new__(GammaElement)
-    out._coords = coords
+    out._den = den
+    out._nums = nums
     return out
 
 
-def _merge(a, b, negate: bool) -> Tuple[Tuple[int, Fraction], ...]:
-    """The canonical coordinates of a + b, or of a - b if negate, for
-    canonical coordinate tuples a and b: one pass over both."""
+def _reduced(den: int, nums: list, g: int) -> GammaElement:
+    """The element with the sorted nonzero integer numerators nums over den,
+    after dividing out their common factor with den, which divides g."""
+    g = gcd(g, *[c for _, c in nums])
+    if g != 1:
+        den //= g
+        nums = [(n, c // g) for n, c in nums]
+    return _element(den, tuple(nums))
+
+
+def _combine(x: GammaElement, y: GammaElement, sign: int) -> GammaElement:
+    """x + sign * y for sign 1 or -1: one merge of the numerators over the
+    least common multiple of the denominators, then one reduction.  A prime
+    dividing that multiple and every numerator divides both denominators
+    (Knuth, TAOCP Vol. 2, 4.5.1), so the common factor divides their gcd."""
+    da, db = x._den, y._den
+    g = gcd(da, db)
+    sa, sb = db // g, sign * (da // g)
+    a, b = x._nums, y._nums
+    la, lb = len(a), len(b)
     out = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        na, qa = a[i]
-        nb, qb = b[j]
+    while i < la and j < lb:
+        na, ca = a[i]
+        nb, cb = b[j]
         if na < nb:
-            out.append(a[i])
+            out.append((na, ca * sa))
             i += 1
         elif nb < na:
-            out.append((nb, -qb) if negate else b[j])
+            out.append((nb, cb * sb))
             j += 1
         else:
-            s = qa - qb if negate else qa + qb
+            s = ca * sa + cb * sb
             if s:
                 out.append((na, s))
             i += 1
             j += 1
-    out.extend(a[i:])
-    out.extend(((n, -q) for n, q in b[j:]) if negate else b[j:])
-    return tuple(out)
+    if i < la:
+        out += [(n, c * sa) for n, c in a[i:]]
+    if j < lb:
+        out += [(n, c * sb) for n, c in b[j:]]
+    if g == 1:
+        return _element(da * sa, tuple(out))
+    return _reduced(da * sa, out, g)
 
 
 ZERO = GammaElement()
 
 
+def _index(n: object) -> int:
+    """n if it is a valid coordinate index, else ValueError."""
+    if json_int(n, "a coordinate index must be an integer") < 0:
+        raise ValueError("coordinate index must be >= 0")
+    return n
+
+
 def unit(n: int) -> GammaElement:
     """The basis vector e_n."""
-    return GammaElement([(n, 1)])
+    return _element(1, ((_index(n), 1),))
+
+
+# The numerators of E_1, ..., E_64 are slices of this table, which never
+# grows; larger staircases are built when asked for.
+_STAIRS = tuple((i, 1) for i in range(64))
+
+
+def _stairs(n: int) -> Tuple[Tuple[int, int], ...]:
+    return _STAIRS[:n] if n <= len(_STAIRS) else tuple((i, 1) for i in range(n))
 
 
 def psi_point(n: int) -> GammaElement:
     """The staircase point E_n = e_0 + ... + e_{n-1}; requires n >= 1."""
     if n < 1:
         raise ValueError("psi points are E_n with n >= 1")
-    return _element(tuple((i, _QONE) for i in range(n)))
+    return _element(1, _stairs(n))
 
 
 def psi_point_index(x: GammaExt) -> Optional[int]:
     """Return n if x = E_n for some n >= 1, else None."""
-    if not isinstance(x, GammaElement) or x.is_zero:
+    if not isinstance(x, GammaElement) or x.is_zero or x._den != 1:
         return None
-    coords = x.items()
-    n = len(coords)
-    if all(coords[i] == (i, 1) for i in range(n)):
-        return n
-    return None
+    n = len(x._nums)
+    return n if x._nums == _stairs(n) else None
 
 
 def is_psi_point(x: GammaExt) -> bool:
@@ -365,9 +428,21 @@ def is_psi_point(x: GammaExt) -> bool:
 # -- literal syntax --------------------------------------------------------
 
 
-# An optional sign, digits, and an optional '/' with a denominator; each
-# part may be surrounded by whitespace.
-_match_rational = re.compile(r"\s*([+-]?)\s*(\d+)\s*(?:/\s*(\d+)\s*)?").fullmatch
+# An optional sign and digits, for a rational then an optional '/' with a
+# denominator; each part may be surrounded by whitespace.
+_INTEGER = r"\s*([+-]?)\s*(\d+)\s*"
+_match_integer = re.compile(_INTEGER).fullmatch
+_match_rational = re.compile(_INTEGER + r"(?:/\s*(\d+)\s*)?").fullmatch
+
+
+def parse_integer(text: str) -> int:
+    """Read an integer literal such as '7', '+7' or ' - 2': the grammar of
+    ``parse_rational`` without a denominator, so '1_0' and '7/1' are
+    ValueErrors."""
+    m = _match_integer(text)
+    if m is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(m.group(1) + m.group(2))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -426,10 +501,11 @@ def format_element(x: GammaExt) -> str:
     if x is INF:
         return "inf"
     assert isinstance(x, GammaElement)
-    if x.is_zero:
-        return "[]"
-    top = x.items()[-1][0]
-    return "[" + ", ".join(format_rational(x.coord(i)) for i in range(top + 1)) + "]"
+    parts: list = []
+    for i, q in x.items():
+        parts += ["0"] * (i - len(parts))
+        parts.append(format_rational(q))
+    return "[" + ", ".join(parts) + "]"
 
 
 # -- order helpers ----------------------------------------------------------
@@ -458,8 +534,8 @@ def _integration_index(x: GammaElement) -> int:
     # The unique n with x_i = 1 for i < n and x_n != 1; the integral of x
     # then has leading index exactly n.
     n = 0
-    for i, q in x._coords:
-        if i != n or q != 1:
+    for i, c in x._nums:
+        if i != n or c != x._den:
             break
         n += 1
     return n

@@ -65,14 +65,16 @@ def run_identity_suite(n: int, seed: int) -> List[CheckLine]:
         nxt = (idx + 1) % n
         other = elements[nxt]
         b, ia, pa = succs[idx], integrals[idx], psis[idx]
-        integral_identity.record(ia == a - b)
+        gap = a - b
+        integral_identity.record(ia == gap)
         round_trip.record(ia + psi(ia) == a)
-        fixed_ok = psi(a - b) == b
+        fixed_ok = psi(gap) == b
         # a perturbed candidate must fail the fixed point equation
         bump = unit(idx % 8) * random_rational(rng, 9)
         b2 = b + bump
-        if a - b2 != ZERO:
-            fixed_ok = fixed_ok and psi(a - b2) != b2
+        gap2 = a - b2
+        if gap2 != ZERO:
+            fixed_ok = fixed_ok and psi(gap2) != b2
         fixed_point.record(fixed_ok)
         if not a.is_zero:
             psi_even.record(pa == psi(-a))

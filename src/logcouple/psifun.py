@@ -154,19 +154,22 @@ class PsiFunction:
                 raise ValueError("psi indices start at 1")
             drops.append((operator.index(n), q))  # a non-integer index fails at its own label
         # Coordinate c of sum q_l E_{n_l} is the sum of the q_l with n_l > c:
-        # walk the indices downwards, keeping that sum as a running total.
+        # walk the indices downwards, keeping that sum, times the common
+        # denominator of the q_l, as a running integer total.
         drops.sort(reverse=True)
-        coords = []
-        total = None
+        den = math.lcm(*(q.denominator for _, q in drops))
+        nums = []
+        total = top = 0
         for n, q in drops:
             if total:
-                coords.extend((c, total) for c in range(top - 1, n - 1, -1))
-            total = q if total is None else total + q
+                nums.extend((c, total) for c in range(top - 1, n - 1, -1))
+            total += q.numerator * (den // q.denominator)
             top = n
         if total:
-            coords.extend((c, total) for c in range(top - 1, -1, -1))
-        coords.reverse()
-        return self.offset + _element(tuple(coords))
+            nums.extend((c, total) for c in range(top - 1, -1, -1))
+        nums.reverse()
+        g = math.gcd(den, *(c for _, c in nums))
+        return self.offset + _element(den // g, tuple((c, t // g) for c, t in nums))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PsiFunction):
@@ -525,8 +528,8 @@ def _member_families(gamma: GammaElement, F: PsiFunction) -> Iterator[MemberSolu
     msum = _subset_sums([q for _, q in F._coeffs])
     if delta.coord(0) != msum[(1 << n) - 1]:
         return
-    M = 0 if delta.is_zero else delta.items()[-1][0] + 1
-    dense = [delta.coord(c) for c in range(M + 1)]
+    M = 0 if delta.is_zero else delta.last_index + 1
+    dense = delta.truncate(M + 1)
     jumps = [dense[m - 1] - dense[m] for m in range(1, M + 1)]
 
     def place(m: int, remaining: int, placed: List[Tuple[int, int]]) -> Iterator[MemberSolution]:
@@ -601,7 +604,7 @@ def _denominator(parts, k: int) -> int:
     """The lcm of the denominators of every coefficient and of the first k
     offset coordinates of the components in parts."""
     dens = [q.denominator for F, _ in parts for _, q in F._coeffs]
-    dens += [q.denominator for F, _ in parts for i, q in F.offset.items() if i < k]
+    dens += [F.offset.prefix_numerators(k)[0] for F, _ in parts]
     return math.lcm(*dens)
 
 
@@ -614,7 +617,9 @@ def _scaled(vec: Sequence[Fraction], D: int) -> List[Optional[int]]:
     return out
 
 
-def _capped_sweep(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, target=None):
+def _capped_sweep(
+    F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, target: Optional[GammaElement] = None
+):
     """The capped index profiles of F at depths 1..k: yields, after each
     coordinate c = 0..k-1, the set of (vector, capped mask, pins) states
     of depth c + 1, the vector as integer numerators over D.
@@ -643,17 +648,23 @@ def _capped_sweep(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, targe
     and its pins fixed is unsatisfiable.  That is sound, since every
     completion only tightens those bounds, and at c = k - 1 it is exactly
     the satisfiability of the full capped profile.  With ``target`` only
-    chains whose prefix agrees with it are kept.
+    chains whose prefix agrees with its first k coordinates are kept.
     """
     labels = F.labels
     n = len(labels)
     msum = _subset_sums([q.numerator * (D // q.denominator) for _, q in F._coeffs])
-    offset = _scaled(F.offset.truncate(k), D)
+    d, offset = F.offset.prefix_numerators(k)
+    offset = [c * (D // d) for c in offset]
+    want: Optional[List[Optional[int]]] = None
     if target is not None:
-        target = _scaled(target, D)
+        d, nums = target.prefix_numerators(k)
+        want = []
+        for c in nums:
+            num, rem = divmod(c * D, d)
+            want.append(None if rem else num)
 
     def keep(c: int, value: int, open_mask: int, pins) -> bool:
-        if target is not None and value != target[c]:
+        if want is not None and value != want[c]:
             return False
         if not atoms:
             return True
@@ -725,7 +736,8 @@ def _holds_other_point(F: PsiFunction, atoms, capped: int, pins, k: int, gamma: 
         # values.  With none capped every n_i < k, and E_{n_i} touches no
         # coordinate >= k - 1, so the point equals gamma iff the offset
         # agrees with gamma on every coordinate >= k.
-        return bool(capped) or any(c >= k for c, _ in (F.offset - gamma).items())
+        diff = F.offset - gamma
+        return bool(capped) or (not diff.is_zero and diff.last_index >= k)
     labels = F.labels
     upper = dict(pins)
     free = [l for i, l in enumerate(labels) if capped >> i & 1]
@@ -745,7 +757,7 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     gamma on the first k coordinates.
 
     One capped-profile sweep per component (``_capped_sweep``) runs with
-    gamma.truncate(K) as its target and serves every depth: its states
+    gamma as its target and serves every depth: its states
     after coordinate k - 1 are those of the depth-k sweep, so a chain is
     cut at the first coordinate where it leaves gamma, and constrained
     chains are cut as soon as their partial difference system is
@@ -754,10 +766,11 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     components before it found no such point there."""
     if K < 1:
         raise ValueError("probe depth must be >= 1")
+    if not isinstance(gamma, GammaElement):
+        raise ValueError("the limit-point probe takes a group element")
     parts = _component_parts(X)
     D = _denominator(parts, K)
-    target = gamma.truncate(K)
-    sweeps = [_capped_sweep(F, atoms, K, D, target) for F, atoms in parts]
+    sweeps = [_capped_sweep(F, atoms, K, D, gamma) for F, atoms in parts]
     depth = [0] * len(parts)  # depth of states[j], the last states sweeps[j] yielded
     states: List[Optional[set]] = [None] * len(parts)
     for k in range(1, K + 1):

@@ -120,10 +120,9 @@ class ThickenedSmall:
             # image: each sweep drops a chain at the first coordinate that
             # leaves project(x, k), and all() stops at the first empty step.
             k = self.thicken.k
-            target = project(x, k)
             parts = _component_parts(self.core)
             D = _denominator(parts, k)
-            return any(all(_capped_sweep(F, atoms, k, D, target)) for F, atoms in parts)
+            return any(all(_capped_sweep(F, atoms, k, D, x)) for F, atoms in parts)
         return image_contains(self.core, x)
 
 

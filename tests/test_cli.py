@@ -296,6 +296,9 @@ class TestInputErrors:
             (["dim", "--rep", "unary-no-factor.json", "--phi", "s^3"], "product length does not match arity"),
             (["recover", "--file", "value-inf.json"], "inconsistent evaluations"),
             (["identities", "--n", "0"], "n >= 1"),
+            (["count", "--union", "x0", "--k", "1_0"], "not an integer: '1_0'"),
+            (["identities", "--n", "1_0"], "not an integer: '1_0'"),
+            (["identities", "--seed", "1_0"], "not an integer: '1_0'"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

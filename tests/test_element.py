@@ -1,5 +1,7 @@
 """Core arithmetic and primitive tests for the computable model."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -187,6 +189,113 @@ class TestDerivedArithmetic:
     def test_psi_point_is_canonical(self):
         for n in range(1, 9):
             assert_canonical_equal(psi_point(n), {i: 1 for i in range(n)})
+
+
+def model_cmp(a, b):
+    """The sign of a - b for coordinate dicts: that of the first nonzero difference."""
+    for n in sorted(set(a) | set(b)):
+        d = a.get(n, 0) - b.get(n, 0)
+        if d:
+            return 1 if d > 0 else -1
+    return 0
+
+
+def model_sum(*terms):
+    """The coordinate dict of sum q * a over (q, a) pairs of a rational and a dict."""
+    acc = {}
+    for q, a in terms:
+        for n, c in a.items():
+            acc[n] = acc.get(n, 0) + q * c
+    return {n: Fraction(c) for n, c in acc.items() if c}
+
+
+class TestAgainstDictModel:
+    """Elements against an independent model, plain dicts of Fractions: each
+    element shows its model's coordinates in ``items()``, ``coord`` and
+    ``truncate``, is equal and hashes equal exactly where the models agree,
+    and orders as the first nonzero coordinate of the models' difference."""
+
+    def check(self, pairs):
+        for x, d in pairs:
+            assert x.items() == tuple(sorted(d.items()))
+            assert all(type(q) is Fraction for _, q in x.items())
+            assert [x.coord(n) for n in range(12)] == [d.get(n, 0) for n in range(12)]
+            assert x.truncate(12) == tuple(d.get(n, 0) for n in range(12))
+            den, nums = x.prefix_numerators(6)
+            assert den == math.lcm(*(q.denominator for n, q in d.items() if n < 6))
+            assert [Fraction(c, den) for c in nums] == [d.get(n, 0) for n in range(6)]
+            assert x.is_zero or (x.leading_index, x.last_index) == (min(d), max(d))
+            again = GammaElement(d)
+            assert x == again and hash(x) == hash(again)
+        for x, dx in pairs:
+            for y, dy in pairs:
+                want = model_cmp(dx, dy)
+                assert compare(x, y) == want
+                assert (x < y) == (want < 0) and (x == y) == (want == 0)
+                if want == 0:
+                    assert hash(x) == hash(y)
+
+    def test_reductions_across_denominators(self):
+        F = Fraction
+        sixth, third = {0: F(1, 6), 3: F(-5, 6)}, {0: F(1, 3), 3: F(1, 3)}
+        x = {0: F(1, 2), 1: F(-2, 3), 4: F(5, 4)}
+        a, b = {1: F(3, 10), 2: F(7, 15)}, {0: F(4, 9), 2: F(-1, 6)}
+        gx, ga, gb = GammaElement(x), GammaElement(a), GammaElement(b)
+        pairs = [
+            (GammaElement(sixth) + GammaElement(third), {0: F(1, 2), 3: F(-1, 2)}),
+            (GammaElement({0: F(1, 6)}) + GammaElement({0: F(1, 3)}), {0: F(1, 2)}),
+            (el("[1/2]"), {0: F(1, 2)}),
+            (el("[1/3]"), {0: F(1, 3)}),
+            (el("[0, 2/5]"), {1: F(2, 5)}),
+            (el("[0, 1/2]"), {1: F(1, 2)}),
+            ((gx * F(3, 2)) * F(2, 3), x),
+            (gx * F(3, 2), model_sum((F(3, 2), x))),
+            (gx, x),
+            ((ga + gb) - gb, a),
+            (ga + gb, model_sum((1, a), (1, b))),
+            (ga - gb, model_sum((1, a), (-1, b))),
+            (gb - ga - gb + ga, {}),
+            (-gx, model_sum((-1, x))),
+        ]
+        assert (gx * F(3, 2)) * F(2, 3) == gx and (ga + gb) - gb == ga
+        self.check(pairs)
+
+    def test_psi_points_at_the_table_edge(self):
+        pairs = []
+        for n in (63, 64, 65, 200):
+            stairs = {i: Fraction(1) for i in range(n)}
+            pairs += [(psi_point(n), stairs), (GammaElement(stairs), stairs)]
+            assert psi_point_index(psi_point(n)) == psi_point_index(GammaElement(stairs)) == n
+            assert succ(psi_point(n)) == psi_point(n + 1) and pred(psi_point(n + 1)) == psi_point(n)
+        self.check(pairs)
+
+    def test_seeded_arithmetic(self):
+        rng = random.Random(14)
+        dens = (1, 2, 3, 4, 6, 9, 10, 12, 35)
+
+        def draw():
+            if rng.random() < 0.2:  # a run of ones, so succ meets several staircase points
+                d = {i: Fraction(1) for i in range(rng.randint(1, 4))}
+            else:
+                d = {}
+            for n in rng.sample(range(8), rng.randint(0, 4)):
+                d[n] = Fraction(rng.randint(-9, 9), rng.choice(dens))
+            return {n: q for n, q in d.items() if q}
+
+        for _ in range(20):
+            models = [draw() for _ in range(4)]
+            pairs = [(GammaElement(d), d) for d in models]
+            for (x, dx), (y, dy) in zip(pairs[:4], pairs[1:4] + pairs[:1]):
+                q = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice(dens))
+                pairs += [
+                    (x + y, model_sum((1, dx), (1, dy))),
+                    (x - y, model_sum((1, dx), (-1, dy))),
+                    (x * q, model_sum((q, dx))),
+                    (-x, model_sum((-1, dx))),
+                ]
+                ones = next(n for n in range(9) if dx.get(n) != 1)
+                assert succ(x) == psi_point(ones + 1)
+            self.check(pairs)
 
 
 class TestPsi:

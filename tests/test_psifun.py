@@ -761,6 +761,11 @@ class TestProbe:
         X = [fn("x0 - x1"), fn("x0")]
         assert limit_point_probe(ZERO, X, 8) is True
 
+    def test_probe_takes_a_group_element(self):
+        for X in (fig2_set(), []):
+            with pytest.raises(ValueError, match="takes a group element"):
+                limit_point_probe(INF, X, 3)
+
     def test_matches_per_profile_reference(self):
         rng = random.Random(11)
         trues = 0
