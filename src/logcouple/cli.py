@@ -1,8 +1,15 @@
 """Command-line front end: batch verbs over every operation plus a REPL.
 
-Exit codes: 0 on success, 1 on parse or validation errors, 2 when an
-internal cross-check reports a discrepancy (which should never happen on
-the shipped model).
+Each verb prints its answer once it is done: as text lines, or with
+--json as one JSON document.  The verbs over an image union (dset, drank,
+member, project-set, count) read it from --union EXPR or from --file F,
+not both.  The REPL prints each answer as it comes.
+
+Exit codes: 0 on success, 1 on parse or validation errors (one "error:"
+line on stderr, nothing on stdout), 2 when an internal cross-check
+reports a discrepancy (a crosscheck whose two routes disagree, or an
+identity suite with a failure; neither should happen on the shipped
+model).
 """
 
 from __future__ import annotations
@@ -15,17 +22,12 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .element import (
-    GammaElement,
     GammaExt,
     INF,
     format_element,
-    integral,
     parse_element,
     parse_integer,
-    pred,
-    psi,
     small_diff_witness,
-    succ,
 )
 from .identities import run_identity_suite, suite_passed
 from .psifun import (
@@ -59,7 +61,7 @@ from .sets import (
     rep_to_json,
     sst_crosscheck,
 )
-from .terms import eval_term, parse_term
+from .terms import PRIMITIVES, eval_term, parse_term
 
 __all__ = ["main"]
 
@@ -116,109 +118,92 @@ def _load_union(args) -> List:
     return imageunion_from_json(data)
 
 
-def _emit(args, payload, text_lines: Sequence[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _single_k(args) -> int:
+    ks = _parse_k_range(args.k)
+    if len(ks) != 1:
+        raise CliError(f"{args.verb} takes a single k")
+    return ks[0]
 
 
-def _cmd_eval(args) -> int:
-    term = parse_term(args.term)
-    value = eval_term(term, _parse_env(args.env))
-    _emit(args, {"value": format_element(value)}, [format_element(value)])
-    return 0
+# Each _cmd_* verb returns (payload, lines), or (payload, lines, exit code)
+# when it can report a discrepancy; main prints the payload as JSON under
+# --json, else the lines.
+
+
+def _cmd_eval(args):
+    value = format_element(eval_term(parse_term(args.term), _parse_env(args.env)))
+    return {"value": value}, [value]
 
 
 def _primitive_cmd(fn):
-    def run(args) -> int:
-        value = fn(parse_element(args.element))
-        _emit(args, {"value": format_element(value)}, [format_element(value)])
-        return 0
+    def run(args):
+        value = format_element(fn(parse_element(args.element)))
+        return {"value": value}, [value]
 
     return run
 
 
-def _cmd_dset(args) -> int:
+def _cmd_dset(args):
     D = derived_set(_load_union(args))
-    _emit(args, imageunion_to_json(D), [repr(F) for F in D] or ["(empty)"])
-    return 0
+    return imageunion_to_json(D), [repr(F) for F in D] or ["(empty)"]
 
 
-def _cmd_drank(args) -> int:
+def _cmd_drank(args):
     r = d_rank(_load_union(args))
-    _emit(args, {"d_rank": r}, [str(r)])
-    return 0
+    return {"d_rank": r}, [str(r)]
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args):
     gamma = parse_element(args.gamma)
     if gamma is INF:
         raise CliError("membership is about group elements")
-    union = _load_union(args)
     lines: List[str] = []
-    payload = []
-    hit = False
-    for comp in union:
+    solutions = []
+    for comp in _load_union(args):
         if isinstance(comp, ConstrainedImage):
             witness = member_constrained(gamma, comp)
             if witness is not None:
-                hit = True
                 ordered = [witness[l] for l in comp.base.labels]
                 lines.append(f"{comp.base!r} with constraints: {tuple(ordered)}")
-                payload.append(
+                solutions.append(
                     {"component": component_to_json(comp), "witness": ordered}
                 )
         else:
             for sol in member(gamma, comp):
-                hit = True
                 ordered = [sol.as_dict()[l] for l in comp.labels]
                 tag = " (parametric)" if sol.parametric else ""
                 lines.append(f"{comp!r}: {tuple(ordered)}{tag}")
-                payload.append(
+                solutions.append(
                     {
                         "component": component_to_json(comp),
                         "witness": ordered,
                         "parametric": sol.parametric,
                     }
                 )
-    if not hit:
-        lines.append("no")
-    _emit(args, {"member": hit, "solutions": payload}, lines)
-    return 0
+    return {"member": bool(solutions), "solutions": solutions}, lines or ["no"]
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args):
     gamma = parse_element(args.element)
     if gamma is INF:
         raise CliError("projection is about group elements")
-    ks = _parse_k_range(args.k)
-    if len(ks) != 1:
-        raise CliError("project takes a single k")
-    vec = project(gamma, ks[0])
-    _emit(args, {"vector": [str(q) for q in vec]}, [format_vector(vec)])
-    return 0
+    vec = project(gamma, _single_k(args))
+    return {"vector": [str(q) for q in vec]}, [format_vector(vec)]
 
 
-def _cmd_project_set(args) -> int:
+def _cmd_project_set(args):
     union = _load_union(args)
-    ks = _parse_k_range(args.k)
-    if len(ks) != 1:
-        raise CliError("project-set takes a single k")
-    vectors = list(project_set(union, ks[0]))
-    _emit(
-        args,
-        {"k": ks[0], "vectors": [[str(q) for q in v] for v in vectors]},
+    k = _single_k(args)
+    vectors = list(project_set(union, k))
+    return (
+        {"k": k, "vectors": [[str(q) for q in v] for v in vectors]},
         [format_vector(v) for v in vectors],
     )
-    return 0
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     union = _load_union(args)
-    ks = _parse_k_range(args.k)
-    table = count_function(union, ks)
+    table = count_function(union, _parse_k_range(args.k))
     lines = ["k\tcount"] + [f"{k}\t{c}" for k, c in table]
     payload = {"counts": [{"k": k, "count": c} for k, c in table]}
     if args.fit:
@@ -232,8 +217,7 @@ def _cmd_count(args) -> int:
             )
             lines.append(f"# conjectural fit: {poly}")
             payload["fit"] = {"coefficients": [str(c) for c in coeffs], "conjectural": True}
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def _load_rep(path: str) -> Rep:
@@ -244,28 +228,22 @@ def _fmt_dim(d) -> str:
     return "-inf" if d == NEG_DIM else str(d)
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args):
     rep = _load_rep(args.rep)
-    phis = _parse_phis(args.phi)
-    lines = []
-    payload = []
-    for phi in phis:
-        d = dim(rep, phi)
-        lines.append(f"{phi}\t{_fmt_dim(d)}")
-        payload.append({"phi": str(phi), "dim": _fmt_dim(d)})
-    _emit(args, {"dims": payload}, ["phi\tdim"] + lines)
-    return 0
+    dims = [(str(phi), _fmt_dim(dim(rep, phi))) for phi in _parse_phis(args.phi)]
+    return (
+        {"dims": [{"phi": phi, "dim": d} for phi, d in dims]},
+        ["phi\tdim"] + [f"{phi}\t{d}" for phi, d in dims],
+    )
 
 
-def _cmd_crosscheck(args) -> int:
+def _cmd_crosscheck(args):
     rep = _load_rep(args.rep)
     if not isinstance(rep, UnaryRep):
         raise CliError("crosscheck takes a unary representation")
-    phis = _parse_phis(args.phi)
     lines = []
     payload = []
-    bad = False
-    for phi in phis:
+    for phi in _parse_phis(args.phi):
         report = sst_crosscheck(rep, phi)
         status = "ok" if report.consistent else "DISCREPANCY"
         extra = ""
@@ -286,44 +264,32 @@ def _cmd_crosscheck(args) -> int:
                 "d_rank": report.rank,
             }
         )
-        bad = bad or not report.consistent
-    _emit(args, {"reports": payload}, lines)
-    return 2 if bad else 0
+    consistent = all(row["consistent"] for row in payload)
+    return {"reports": payload}, lines, 0 if consistent else 2
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     eps = parse_element(args.element)
     if eps is INF:
         raise CliError("witness construction needs a positive group element")
-    d0, d1 = small_diff_witness(eps)
-    _emit(
-        args,
-        {"delta0": format_element(d0), "delta1": format_element(d1)},
-        [f"{format_element(d0)}\t{format_element(d1)}"],
-    )
-    return 0
+    d0, d1 = map(format_element, small_diff_witness(eps))
+    return {"delta0": d0, "delta1": d1}, [f"{d0}\t{d1}"]
 
 
-def _cmd_clique(args) -> int:
+def _cmd_clique(args):
     points = [parse_element(p) for p in args.point or []]
     if args.file:
         data = _load_json(args.file)
         if not isinstance(data, list) or not all(isinstance(p, str) for p in data):
             raise CliError("clique --file takes a JSON array of element strings")
         points.extend(parse_element(p) for p in data)
-    bad = [p for p in points if p is INF]
-    if bad or not points:
+    if not points or any(p is INF for p in points):
         raise CliError("clique needs one or more group-element points")
     phi = Phi.parse(args.phi)
     if not phi.is_finite:
         raise CliError("clique needs a finite scale value")
-    best = equilateral_max_clique(points, phi.as_element())
-    _emit(
-        args,
-        {"size": len(best), "clique": [format_element(p) for p in best]},
-        [f"size\t{len(best)}"] + [format_element(p) for p in best],
-    )
-    return 0
+    best = [format_element(p) for p in equilateral_max_clique(points, phi.as_element())]
+    return {"size": len(best), "clique": best}, [f"size\t{len(best)}"] + best
 
 
 def _field(obj, key: str, kind: type):
@@ -334,18 +300,17 @@ def _field(obj, key: str, kind: type):
     return obj[key]
 
 
-def _cmd_recover(args) -> int:
+def _cmd_recover(args):
     data = _load_json(args.file)
     evals = [
         (tuple(_field(item, "args", list)), parse_element(_field(item, "value", str)))
         for item in _field(data, "evals", list)
     ]
     F = recover(evals)
-    _emit(args, psifunction_to_json(F), [repr(F)])
-    return 0
+    return psifunction_to_json(F), [repr(F)]
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args):
     n, seed = parse_integer(args.n), parse_integer(args.seed)
     lines = run_identity_suite(n, seed)
     ok = suite_passed(lines)
@@ -354,25 +319,19 @@ def _cmd_identities(args) -> int:
         for line in lines
     ]
     text.append(f"{'PASS' if ok else 'FAIL'}\tidentity suite (n={n}, seed={seed})")
-    _emit(
-        args,
-        {
-            "passed": ok,
-            "checks": [
-                {"name": l.name, "checked": l.checked, "failures": l.failures}
-                for l in lines
-            ],
-        },
-        text,
-    )
-    return 0 if ok else 2
+    payload = {
+        "passed": ok,
+        "checks": [
+            {"name": l.name, "checked": l.checked, "failures": l.failures}
+            for l in lines
+        ],
+    }
+    return payload, text, 0 if ok else 2
 
 
-def _repl_print(value) -> None:
-    print(format_element(value))
-
-
-def _cmd_repl(args) -> int:
+def _cmd_repl(args):
+    """Read lines until quit or end of input, printing each answer as it
+    comes; main has nothing left to print."""
     session: Dict[str, object] = {}
     prompt = "" if not sys.stdin.isatty() else "> "
     print("element and rep session; 'quit' to leave", file=sys.stderr)
@@ -380,13 +339,13 @@ def _cmd_repl(args) -> int:
         try:
             line = input(prompt)
         except EOFError:
-            return 0
+            return None, []
         line = line.strip()
         if not line:
             continue
         try:
             if line in ("quit", "exit"):
-                return 0
+                return None, []
             if line == "env":
                 for name, value in sorted(session.items()):
                     kind = "rep" if isinstance(value, Rep) else "elem"
@@ -420,18 +379,18 @@ def _cmd_repl(args) -> int:
                     raise CliError(f"{name!r} is not a loaded rep")
                 print(_fmt_dim(dim(rep, Phi.parse(phi_text))))
                 continue
+            name, expr = None, line
             if "=" in line and not line.startswith("["):
                 name, expr = line.split("=", 1)
                 name = name.strip()
                 if not name.isidentifier():
                     raise CliError(f"bad name {name!r}")
-                env = {k: v for k, v in session.items() if isinstance(v, (GammaElement,)) or v is INF}
-                value = eval_term(parse_term(expr), env)
+            # a session value is an element (or inf) unless it is a loaded rep
+            env = {k: v for k, v in session.items() if not isinstance(v, Rep)}
+            value = eval_term(parse_term(expr), env)
+            if name is not None:
                 session[name] = value
-                _repl_print(value)
-                continue
-            env = {k: v for k, v in session.items() if isinstance(v, (GammaElement,)) or v is INF}
-            _repl_print(eval_term(parse_term(line), env))
+            print(format_element(value))
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
 
@@ -445,46 +404,39 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="logcouple", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, union=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        if union:
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--union", help="linear expression like 'x0-x1+[1]'")
+            source.add_argument("--file", help="image-union JSON file")
         return p
 
     p = add("eval", _cmd_eval, help="evaluate a term")
     p.add_argument("term")
     p.add_argument("--env", action="append", metavar="NAME=ELEM")
 
-    # These four closures capture psi, integral, succ and pred when the
-    # parser is built, so rebinding those names on this module later does
-    # not reach them; every _cmd_* function looks its callees up when it runs.
-    for name, fn in (("psi", psi), ("int", integral), ("s", succ), ("p", pred)):
+    # Each primitive verb captures its function here, when the parser is
+    # built; every _cmd_* function looks its callees up when it runs.
+    for name, _, fn in PRIMITIVES:
         p = add(name, _primitive_cmd(fn), help=f"apply {name} to an element")
         p.add_argument("element")
 
-    for name, fn, needs_gamma in (
-        ("dset", _cmd_dset, False),
-        ("drank", _cmd_drank, False),
-        ("member", _cmd_member, True),
-    ):
-        p = add(name, fn, help=f"{name} of an image union")
-        p.add_argument("--union", help="linear expression like 'x0-x1+[1]'")
-        p.add_argument("--file", help="image-union JSON file")
-        if needs_gamma:
-            p.add_argument("--gamma", required=True, help="element literal")
+    add("dset", _cmd_dset, union=True, help="dset of an image union")
+    add("drank", _cmd_drank, union=True, help="drank of an image union")
+    p = add("member", _cmd_member, union=True, help="member of an image union")
+    p.add_argument("--gamma", required=True, help="element literal")
 
     p = add("project", _cmd_project, help="truncate an element")
     p.add_argument("element")
     p.add_argument("--k", required=True)
 
-    p = add("project-set", _cmd_project_set, help="finite quotient image")
-    p.add_argument("--union", help="linear expression")
-    p.add_argument("--file", help="image-union JSON file")
+    p = add("project-set", _cmd_project_set, union=True, help="finite quotient image")
     p.add_argument("--k", required=True)
 
-    p = add("count", _cmd_count, help="quotient counting function (TSV)")
-    p.add_argument("--union", help="linear expression")
-    p.add_argument("--file", help="image-union JSON file")
+    p = add("count", _cmd_count, union=True, help="quotient counting function (TSV)")
     p.add_argument("--k", required=True, metavar="A..B")
     p.add_argument("--fit", action="store_true", help="exact conjectural polynomial fit")
 
@@ -511,16 +463,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", default="10000")
     p.add_argument("--seed", default="0")
 
-    add("repl", _cmd_repl, help="interactive session")
+    sub.add_parser("repl", help="interactive session").set_defaults(fn=_cmd_repl, json=False)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one verb.  Its answer is printed here and only here: one JSON
+    document with ``--json``, else its text lines."""
     try:
         args = _build_parser().parse_args(argv)
-        code = args.fn(args)
+        payload, lines, *code = args.fn(args)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
+        return code[0] if code else 0
     except BrokenPipeError:
         # The reader closed stdout, which is not an input error: stop quietly,
         # and point stdout at devnull so the interpreter's final flush of

@@ -31,6 +31,7 @@ same sweep once per component for all depths up to its own, and so does
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Set as AbcSet
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ __all__ = [
 TruncatedVector = Tuple[Fraction, ...]
 
 
+@functools.total_ordering
 @dataclass(frozen=True, order=False)
 class Phi:
     """A scale value: s^k0 (the k-th staircase point) or infinity (k=None)."""
@@ -78,15 +80,6 @@ class Phi:
         if self.k is None:
             return other.k is None
         return other.k is None or self.k <= other.k
-
-    def __lt__(self, other: "Phi") -> bool:
-        return self <= other and self != other
-
-    def __ge__(self, other: "Phi") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "Phi") -> bool:
-        return other < self
 
     def __str__(self) -> str:
         return "inf" if self.k is None else f"s^{self.k}0"

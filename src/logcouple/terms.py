@@ -52,6 +52,7 @@ __all__ = [
     "Integ",
     "TermSyntaxError",
     "UnboundVariableError",
+    "PRIMITIVES",
     "parse_term",
     "print_term",
     "free_vars",
@@ -117,6 +118,11 @@ class Integ:
 
 Term = Union[Var, Const, Add, Neg, Delta, Psi, Succ, Pred, Integ]
 
+# The couple's primitives, each as (name, node, function): the name a term
+# and the CLI verb spell it with, its AST node, and what evaluates it.
+PRIMITIVES = (("psi", Psi, psi), ("int", Integ, integral), ("s", Succ, succ), ("p", Pred, pred))
+_PRIMITIVE_OF_NODE = {node: (name, fn) for name, node, fn in PRIMITIVES}
+
 
 class TermSyntaxError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -136,7 +142,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<elem>\[[^\]]*\]?)|(?P<punct>[()+-]))"
 )
 
-_FUNCTIONS = {"psi": Psi, "s": Succ, "p": Pred, "int": Integ}
 _DELTA_RE = re.compile(r"d(\d+)$")
 
 # The deepest term parse_term accepts.  Every parenthesis, unary operator,
@@ -228,7 +233,7 @@ class _Parser:
                 return Const(INF), 1
             nxt = self.peek()
             if nxt and nxt[1] == "(":
-                ctor = _FUNCTIONS.get(value)
+                ctor = next((node for name, node, _ in PRIMITIVES if name == value), None)
                 dm = _DELTA_RE.match(value)
                 if ctor is None and dm:
                     n = int(dm.group(1))
@@ -282,15 +287,9 @@ def print_term(t: Term) -> str:
         return f"-{body}"
     if isinstance(t, Delta):
         return f"d{t.n}({print_term(t.arg)})"
-    if isinstance(t, Psi):
-        return f"psi({print_term(t.arg)})"
-    if isinstance(t, Succ):
-        return f"s({print_term(t.arg)})"
-    if isinstance(t, Pred):
-        return f"p({print_term(t.arg)})"
-    if isinstance(t, Integ):
-        return f"int({print_term(t.arg)})"
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) not in _PRIMITIVE_OF_NODE:
+        raise TypeError(f"not a term: {t!r}")
+    return f"{_PRIMITIVE_OF_NODE[type(t)][0]}({print_term(t.arg)})"
 
 
 def free_vars(t: Term) -> Set[str]:
@@ -318,15 +317,9 @@ def eval_term(t: Term, env: Mapping[str, GammaExt]) -> GammaExt:
         return -eval_term(t.arg, env)
     if isinstance(t, Delta):
         return delta(t.n, eval_term(t.arg, env))
-    if isinstance(t, Psi):
-        return psi(eval_term(t.arg, env))
-    if isinstance(t, Succ):
-        return succ(eval_term(t.arg, env))
-    if isinstance(t, Pred):
-        return pred(eval_term(t.arg, env))
-    if isinstance(t, Integ):
-        return integral(eval_term(t.arg, env))
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) not in _PRIMITIVE_OF_NODE:
+        raise TypeError(f"not a term: {t!r}")
+    return _PRIMITIVE_OF_NODE[type(t)][1](eval_term(t.arg, env))
 
 
 # -- generalized s-functions ---------------------------------------------------
@@ -514,11 +507,8 @@ def local_slope(
             any_inf = any_inf or val is INF
             all_inf = all_inf and val is INF
     if any_inf:
-        if all_inf and (names or base is INF):
-            return AffineReport({v: Fraction(0) for v in names}, INF)
-        if base is INF and not names:
-            return AffineReport({}, INF)
-        return None
+        # all_inf: base and every probe are INF (just base when t has no variable)
+        return AffineReport(dict.fromkeys(names, Fraction(0)), INF) if all_inf else None
     slopes: Dict[str, Fraction] = {}
     for v in names:
         q: Optional[Fraction] = None
@@ -531,7 +521,7 @@ def local_slope(
                 q = ratio
             elif q != ratio:
                 return None
-        slopes[v] = q if q is not None else Fraction(0)
+        slopes[v] = q
     # joint probes: the affine law must predict simultaneous offsets
     for i in (1, 2):
         h = radius * Fraction(1, 2**i)

@@ -13,7 +13,17 @@ from logcouple.cli import _build_parser, main
 from logcouple.element import parse_element
 from logcouple.psifun import component_to_json, fig2_set, psifunction_to_json, parse_linear
 from logcouple.quotient import Phi
-from logcouple.sets import Interval, ThickenedSmall, UnaryRep, dim, product_rep, rep_from_json, rep_to_json
+from logcouple.identities import CheckLine
+from logcouple.sets import (
+    CrosscheckReport,
+    Interval,
+    ThickenedSmall,
+    UnaryRep,
+    dim,
+    product_rep,
+    rep_from_json,
+    rep_to_json,
+)
 
 
 @pytest.fixture
@@ -299,6 +309,9 @@ class TestInputErrors:
             (["count", "--union", "x0", "--k", "1_0"], "not an integer: '1_0'"),
             (["identities", "--n", "1_0"], "not an integer: '1_0'"),
             (["identities", "--seed", "1_0"], "not an integer: '1_0'"),
+            (["dset", "--union", "x0", "--file", "constrained.json"], "not allowed with argument --union"),
+            (["count", "--union", "x0", "--file", "constrained.json", "--k", "1..2"], "not allowed with argument --union"),
+            (["repl", "--json"], "unrecognized arguments: --json"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):
@@ -378,6 +391,61 @@ class TestOtherVerbs:
     def test_identities_seeds_differ_but_pass(self, capsys):
         for seed in (0, 1, 99):
             assert main(["identities", "--n", "100", "--seed", str(seed)]) == 0
+
+
+class TestOutputPaths:
+    """Answers that are empty or report a failure, pinned byte for byte."""
+
+    def test_project_set_of_an_empty_image(self, capsys, tmp_path):
+        # x0 - x1 with n0 < n1 and n1 < n0: no index pair satisfies both
+        path = tmp_path / "empty.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "coeffs": {"x0": "1", "x1": "-1"},
+                    "constraints": [
+                        {"kind": "diff_le", "i": 0, "j": 1, "c": -1},
+                        {"kind": "diff_le", "i": 1, "j": 0, "c": -1},
+                    ],
+                }
+            )
+        )
+        assert run(capsys, "project-set", "--file", str(path), "--k", "2") == (0, "")
+        code, out = run(capsys, "project-set", "--file", str(path), "--k", "2", "--json")
+        assert (code, out) == (0, '{\n  "k": 2,\n  "vectors": []\n}\n')
+
+    def test_dset_of_a_union_with_no_derived_points(self, capsys):
+        assert run(capsys, "dset", "--union", "x0+x1") == (0, "(empty)\n")
+
+    def test_crosscheck_discrepancy_exits_2(self, capsys, monkeypatch, fig2_rep_file):
+        monkeypatch.setattr(
+            "logcouple.cli.sst_crosscheck", lambda rep, phi: CrosscheckReport(phi, 0, 1, False)
+        )
+        code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "s^1,inf")
+        assert (code, out) == (2, "s^10\tdimA=0\tdimB=1\tDISCREPANCY\ninf\tdimA=0\tdimB=1\tDISCREPANCY\n")
+        code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "s^1", "--json")
+        assert code == 2 and json.loads(out)["reports"][0]["consistent"] is False
+
+    def test_identity_failure_exits_2(self, capsys, monkeypatch):
+        lines = [CheckLine("first", checked=3), CheckLine("second", checked=3, failures=1)]
+        monkeypatch.setattr("logcouple.cli.run_identity_suite", lambda n, seed: lines)
+        code, out = run(capsys, "identities", "--n", "3", "--seed", "5")
+        assert (code, out.splitlines()) == (
+            2,
+            [
+                "PASS\tfirst\tchecked=3\tfailures=0",
+                "FAIL\tsecond\tchecked=3\tfailures=1",
+                "FAIL\tidentity suite (n=3, seed=5)",
+            ],
+        )
+        code, out = run(capsys, "identities", "--n", "3", "--seed", "5", "--json")
+        assert code == 2 and json.loads(out) == {
+            "passed": False,
+            "checks": [
+                {"name": "first", "checked": 3, "failures": 0},
+                {"name": "second", "checked": 3, "failures": 1},
+            ],
+        }
 
 
 class TestRepl:

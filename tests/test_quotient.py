@@ -1,6 +1,7 @@
 """Quotient projections, exact finite images, and counting tests."""
 
 import itertools
+import math
 import random
 from collections import namedtuple
 from decimal import Decimal
@@ -71,6 +72,14 @@ class TestPhi:
         assert Phi(1) < Phi(2) < PHI_INF
         assert PHI_INF <= PHI_INF
         assert not PHI_INF < PHI_INF
+
+    def test_comparisons_follow_the_scale_index(self):
+        # inf lies above every s^k0, and s^k0 <= s^m0 exactly when k <= m
+        scales = [PHI_INF] + [Phi(k) for k in range(1, 5)]
+        for a in scales:
+            for b in scales:
+                x, y = (math.inf if phi.k is None else phi.k for phi in (a, b))
+                assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
 
     def test_as_element(self):
         assert Phi(3).as_element() == psi_point(3)
