@@ -254,6 +254,7 @@ def _cmd_crosscheck(args):
         lines.append(
             f"{phi}\tdimA={_fmt_dim(report.dim_route_a)}\tdimB={_fmt_dim(report.dim_route_b)}\t{status}{extra}"
         )
+        image = report.quotient_image
         payload.append(
             {
                 "phi": str(phi),
@@ -261,6 +262,7 @@ def _cmd_crosscheck(args):
                 "dim_route_b": _fmt_dim(report.dim_route_b),
                 "consistent": report.consistent,
                 "quotient_size": report.quotient_size,
+                "quotient_image": None if image is None else [[str(q) for q in v] for v in image],
                 "d_rank": report.rank,
             }
         )
@@ -442,7 +444,7 @@ def _build_parser() -> _Parser:
 
     p = add("dim", _cmd_dim, help="dimension of a definable-set rep")
     p.add_argument("--rep", required=True, help="definable-set JSON file")
-    p.add_argument("--phi", required=True, help="comma list like s^3,inf")
+    p.add_argument("--phi", required=True, help="comma list like s^{3}0,inf (or s^3,inf)")
 
     p = add("crosscheck", _cmd_crosscheck, help="two-route dimension crosscheck")
     p.add_argument("--rep", required=True)

@@ -649,6 +649,35 @@ def _capped_sweep(
     completion only tightens those bounds, and at c = k - 1 it is exactly
     the satisfiability of the full capped profile.  With ``target`` only
     chains whose prefix agrees with its first k coordinates are kept.
+
+    With atoms and no target, the test is asked once per residual system,
+    the clock-region argument of Alur and Dill ("A theory of timed
+    automata", TCS 126, 1994).  Let C be the largest of 0 and the
+    constants of the ``ge``/``le`` atoms, and W the largest of 0 and the
+    |constants| of the ``diff_le``/``diff_eq`` atoms.  A parent state at
+    step c, with open mask A and old pins p_l < c, has the signature
+    (min(c, C + 1), A, the pairs (l, min(c - p_l, W + 2)) over the old
+    pins l that share a difference edge with a label of A).  The first
+    parent with a signature asks ``solve_min`` about each sub ⊆ A, and
+    the subs it keeps are memoized under that signature for every later
+    parent with it.  Two parents with one signature keep the same subs:
+
+    1. The parent is feasible, so every edge between old pins, and every
+       bound on one, already holds; a pin is a fixed value, so an edge
+       between two of them is a fixed check and carries nothing.  What is
+       left are the edges among the labels of A (new pins at c, sub at
+       c + 1 or more), edges between A and old pins, and bounds on A.
+    2. Difference edges are invariant under translation, so shift every
+       label by -c: new pins sit at 0, sub at 1 or more, and an old pin of
+       age a = c - p_l at -a.  An edge from it to a label x of A is one
+       bound on x: x <= w - a, or x >= -a - w, for a constant |w| <= W.
+    3. At an age of W + 2 or more, x <= w - a <= -2 is infeasible for
+       every larger age, and x >= -a - w <= -2 is redundant for every
+       larger age, since x >= 0.  So the capped age decides the edge, and
+       an old pin with no edge to A plays no part at all.
+    4. Past c = C + 1, every ``ge``/``le`` atom gives the same answer on
+       the labels of A, which are at c or more: n >= g holds for g <= C,
+       and n <= h fails for h <= C.  Below that, c is in the signature.
     """
     labels = F.labels
     n = len(labels)
@@ -672,6 +701,19 @@ def _capped_sweep(
         lower.update(pins)
         return solve_min(labels, atoms, lower=lower, upper=dict(pins)) is not None
 
+    clocked = bool(atoms) and want is None
+    if clocked:
+        memo: Dict[tuple, List[int]] = {}  # signature -> the subs kept under it
+        C = W = 0
+        near = dict.fromkeys(labels, 0)  # label -> a bit per label it shares a difference edge with
+        for a in atoms:
+            if a.j is None:
+                C = max(C, a.c)
+            else:
+                W = max(W, abs(a.c))
+                near[a.i] |= 1 << a.j
+                near[a.j] |= 1 << a.i
+
     full = (1 << n) - 1
     value = offset[0] + msum[full]  # A_0 = I, as every n_i >= 1
     states = {((value,), full, ())} if keep(0, value, full, ()) else set()
@@ -679,15 +721,33 @@ def _capped_sweep(
     for c in range(1, k):
         grown = set()
         for prefix, open_mask, pins in states:
+            if clocked:
+                reach = 0
+                for i, l in enumerate(labels):
+                    if open_mask >> i & 1:
+                        reach |= near[l]
+                ages = tuple((l, min(c - p, W + 2)) for l, p in pins if reach >> l & 1)
+                signature = (min(c, C + 1), open_mask, ages)
+                kept = memo.get(signature)
+                if kept is not None:
+                    for sub in kept:
+                        left = open_mask ^ sub
+                        pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
+                        grown.add((prefix + (offset[c] + msum[sub],), sub, pinned))
+                    continue
+                kept = memo[signature] = []
             sub = open_mask
             while True:
                 value = offset[c] + msum[sub]
-                pinned = pins
                 if atoms:
                     left = open_mask ^ sub
                     pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
-                if keep(c, value, sub, pinned):
-                    grown.add((prefix + (value,), sub, pinned))
+                    if keep(c, value, sub, pinned):
+                        grown.add((prefix + (value,), sub, pinned))
+                        if clocked:
+                            kept.append(sub)
+                elif keep(c, value, sub, pins):
+                    grown.add((prefix + (value,), sub, pins))
                 if sub == 0:
                     break
                 sub = (sub - 1) & open_mask

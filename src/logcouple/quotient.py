@@ -14,7 +14,13 @@ constrained image a chain is pruned as soon as its partial difference
 system (open labels at least c + 1, left labels pinned) is unsatisfiable;
 completions only tighten that system, so nothing satisfiable is lost, and
 at the last coordinate the test is exactly the satisfiability of the full
-capped profile.
+capped profile.  ``project_set`` and ``count_function`` sweep without a
+target, so each asks ``solve_min`` once per distinct residual system (the
+step capped past the largest bound, the open and leaving labels, and the
+capped ages of the pins that share an edge with them; the proof is in
+``_capped_sweep``).  The targeted sweep of the limit-point probe and of
+``sets.ThickenedSmall.contains`` keeps no such memo: its target cuts
+chains so early that most of its questions are asked only once.
 
 The sweep carries every coordinate as an integer numerator over one
 common denominator D, the lcm of the denominators of all coefficients and
@@ -67,7 +73,7 @@ class Phi:
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
-            raise ValueError("finite scale values are s^k0 with k >= 1")
+            raise ValueError("finite scale values are s^{k}0 with k >= 1")
 
     @property
     def is_finite(self) -> bool:
@@ -82,17 +88,26 @@ class Phi:
         return other.k is None or self.k <= other.k
 
     def __str__(self) -> str:
-        return "inf" if self.k is None else f"s^{self.k}0"
+        return "inf" if self.k is None else f"s^{{{self.k}}}0"
 
     @staticmethod
     def parse(text: str) -> "Phi":
+        """Read ``inf``, the printed form ``s^{k}0``, or the short form
+        ``s^k``.  A short form whose digits end in 0 and have more than one
+        digit is refused: ``s^10`` reads as s^{1}0 or as s^{10}0."""
         text = text.strip()
         if text in ("inf", "∞"):
             return Phi(None)
-        m = re.fullmatch(r"s\^(\d+)0", text) or re.fullmatch(r"s\^(\d+)", text)
+        m = re.fullmatch(r"s\^\{([0-9]+)\}0", text)
+        if m:
+            return Phi(int(m.group(1)))
+        m = re.fullmatch(r"s\^([0-9]+)", text)
         if not m:
-            raise ValueError(f"not a scale value (expected s^k0 or inf): {text!r}")
-        return Phi(int(m.group(1)))
+            raise ValueError(f"not a scale value (expected s^{{k}}0, s^k or inf): {text!r}")
+        digits = m.group(1)
+        if len(digits) > 1 and digits.endswith("0"):
+            raise ValueError(f"ambiguous scale value {text!r}: write s^{{{digits[:-1]}}}0 or s^{{{digits}}}0")
+        return Phi(int(digits))
 
 
 PHI_INF = Phi(None)

@@ -179,11 +179,50 @@ class TestSetVerbs:
         code, out = run(capsys, "dim", "--rep", fig2_rep_file, "--phi", "s^3,inf")
         lines = out.strip().splitlines()
         assert code == 0
-        assert lines == ["phi\tdim", "s^30\t0", "inf\t0"]
+        assert lines == ["phi\tdim", "s^{3}0\t0", "inf\t0"]
+
+    @pytest.mark.parametrize(
+        "spelling, printed",
+        [
+            ("s^3", "s^{3}0"),
+            ("s^{3}0", "s^{3}0"),
+            ("s^11", "s^{11}0"),
+            ("s^{1}0", "s^{1}0"),
+            ("s^{10}0", "s^{10}0"),
+            ("s^{110}0", "s^{110}0"),
+            ("inf", "inf"),
+            # each reads as s^{k}0 with its last 0 taken as the "0", or as the short form s^k
+            ("s^10", None),
+            ("s^30", None),
+            ("s^100", None),
+            ("s^110", None),
+        ],
+    )
+    def test_scale_spellings(self, capsys, fig2_rep_file, spelling, printed):
+        code = main(["dim", "--rep", fig2_rep_file, "--phi", spelling])
+        captured = capsys.readouterr()
+        if printed is None:
+            assert (code, captured.out) == (1, "")
+            assert captured.err.startswith(f"error: ambiguous scale value {spelling!r}: write s^{{")
+            assert len(captured.err.splitlines()) == 1
+            return
+        assert code == 0 and captured.out.splitlines()[1].split("\t")[0] == printed
+        # the printed form parses back to itself
+        assert run(capsys, "dim", "--rep", fig2_rep_file, "--phi", printed) == (0, captured.out)
 
     def test_crosscheck_ok(self, capsys, fig2_rep_file):
         code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "s^5")
         assert code == 0 and "quotient=11" in out and "ok" in out
+
+    def test_crosscheck_json_quotient_image(self, capsys, fig2_rep_file, tmp_path):
+        code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "s^5,inf", "--json")
+        finite, infinite = json.loads(out)["reports"]
+        path = tmp_path / "fig2.json"
+        path.write_text(json.dumps(component_to_json(fig2_set())))
+        _, vectors = run(capsys, "project-set", "--file", str(path), "--k", "5", "--json")
+        assert code == 0 and finite["quotient_size"] == 11
+        assert finite["quotient_image"] == json.loads(vectors)["vectors"]
+        assert infinite["quotient_size"] is None and infinite["quotient_image"] is None
 
     def test_crosscheck_rank_of_constrained_core(self, capsys, fig2_rep_file):
         code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "inf")
@@ -422,7 +461,7 @@ class TestOutputPaths:
             "logcouple.cli.sst_crosscheck", lambda rep, phi: CrosscheckReport(phi, 0, 1, False)
         )
         code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "s^1,inf")
-        assert (code, out) == (2, "s^10\tdimA=0\tdimB=1\tDISCREPANCY\ninf\tdimA=0\tdimB=1\tDISCREPANCY\n")
+        assert (code, out) == (2, "s^{1}0\tdimA=0\tdimB=1\tDISCREPANCY\ninf\tdimA=0\tdimB=1\tDISCREPANCY\n")
         code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "s^1", "--json")
         assert code == 2 and json.loads(out)["reports"][0]["consistent"] is False
 

@@ -94,17 +94,17 @@ def random_psifunction(rng, min_arity=0, max_arity=3, coeff_bound=9, offset_supp
     return PsiFunction(coeffs, offset)
 
 
-def random_atoms(rng, arity):
-    """One to three atoms of any kind over labels 0..arity-1, constants in
-    -1..1 for differences and 1..3 for bounds."""
+def random_atoms(rng, arity, most=3, diffs=(-1, 1), bounds=(1, 3)):
+    """One to ``most`` atoms of any kind over labels 0..arity-1, constants
+    in the range ``diffs`` for differences and ``bounds`` for bounds."""
     atoms = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, most)):
         kind = rng.choice(["diff_le", "diff_eq", "ge", "le"] if arity > 1 else ["ge", "le"])
         if kind in ("ge", "le"):
-            atoms.append(Atom(kind, i=rng.randrange(arity), c=rng.randint(1, 3)))
+            atoms.append(Atom(kind, i=rng.randrange(arity), c=rng.randint(*bounds)))
         else:
             i, j = rng.sample(range(arity), 2)
-            atoms.append(Atom(kind, i=i, j=j, c=rng.randint(-1, 1)))
+            atoms.append(Atom(kind, i=i, j=j, c=rng.randint(*diffs)))
     return tuple(atoms)
 
 

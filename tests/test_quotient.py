@@ -18,6 +18,7 @@ from logcouple.psifun import (
     fig2_set,
     parse_linear,
     satisfies,
+    solve_min,
 )
 from logcouple.quotient import (
     PHI_INF,
@@ -56,13 +57,34 @@ def brute_project_set(X, k, window):
     return out
 
 
+def capped_profile_oracle(X, k):
+    """Independent oracle with no index window: every capped profile in
+    {1..k}^I (k standing for "k or more") whose difference system
+    solve_min finds satisfiable, evaluated and truncated to k."""
+    from logcouple.psifun import _component_parts
+
+    out = set()
+    for F, atoms in _component_parts(X):
+        labels = F.labels
+        for profile in itertools.product(range(1, k + 1), repeat=len(labels)):
+            n = dict(zip(labels, profile))
+            pins = {l: v for l, v in n.items() if v < k}
+            if atoms and solve_min(labels, atoms, lower=n, upper=pins) is None:
+                continue
+            out.add(F.evaluate(n).truncate(k))
+    return out
+
+
 class TestPhi:
     def test_parse_and_print(self):
         assert Phi.parse("s^3") == Phi(3)
-        assert Phi.parse("s^30") == Phi(3)
+        assert Phi.parse("s^{3}0") == Phi(3)
+        assert Phi.parse("s^{10}0") == Phi(10)
         assert Phi.parse("inf") == PHI_INF
-        assert str(Phi(5)) == "s^50"
+        assert str(Phi(5)) == "s^{5}0"
         assert str(PHI_INF) == "inf"
+        for phi in [PHI_INF] + [Phi(k) for k in (1, 3, 10, 11, 100, 110)]:
+            assert Phi.parse(str(phi)) == phi
         with pytest.raises(ValueError):
             Phi.parse("t^2")
         with pytest.raises(ValueError):
@@ -229,6 +251,26 @@ class TestProjectSet:
                 assert got == brute_project_set(X, k, window), (X, k)
                 assert all(type(q) is Fraction for vec in got for q in vec)
                 assert all(len(vec) == k for vec in got)
+
+    def test_matches_capped_profile_oracle(self):
+        # the sweep asks solve_min once per residual system signature, with
+        # ages capped at W + 2 and the step at C + 1; constants up to 5 and
+        # depths up to 12 reach ages past both caps, and the second
+        # component has the first one's map, so the two share vectors
+        rng = random.Random(61)
+        for _ in range(120):
+            arity = rng.randint(1, 3)
+            F = PsiFunction({i: rng.choice([-2, -1, 1, 2]) for i in range(arity)})
+            X = [
+                ConstrainedImage(F, random_atoms(rng, arity, most=4, diffs=(-5, 5), bounds=(0, 5)))
+                for _ in range(rng.randint(1, 2))
+            ]
+            k = rng.randint(6, 12)
+            want = capped_profile_oracle(X, k)
+            assert project_set(X, k) == want, (X, k)
+            assert count_function(X, range(1, k + 1)) == [
+                (j, len({v[:j] for v in want})) for j in range(1, k + 1)
+            ], (X, k)
 
 
 # no index satisfies n_0 <= 0, so this component adds no vector to a union,
