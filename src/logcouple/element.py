@@ -8,6 +8,12 @@ staircase point E_{n+1} = e_0 + ... + e_n), the asymptotic integral,
 the successor/predecessor pair, and a distinguished top value ``INF``
 that makes every primitive total.
 
+``_Infinity`` alone holds the rules of ``INF``: it lies above every group
+element and absorbs addition and subtraction.  The operators of
+``GammaElement`` answer only for two group elements and return
+NotImplemented otherwise, so Python asks ``_Infinity``'s reflected method,
+and ``==`` and ``!=`` with ``INF`` fall back to identity.
+
 All values are immutable and all operations are pure.
 
 An element stores one positive integer denominator ``den`` and a tuple of
@@ -29,6 +35,7 @@ else goes through the public constructor.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -66,6 +73,7 @@ Rational = Union[int, Fraction]
 _QZERO = Fraction(0)
 
 
+@functools.total_ordering
 class _Infinity:
     """The adjoined top value: greater than every group element, absorbing."""
 
@@ -79,48 +87,19 @@ class _Infinity:
     def __repr__(self) -> str:
         return "inf"
 
-    # Order: INF is strictly above all of Gamma.
+    # Order: INF is strictly above all of Gamma; <=, > and >= follow.
     def __lt__(self, other: object) -> bool:
         if other is self or isinstance(other, GammaElement):
             return False
         return NotImplemented
 
-    def __le__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if isinstance(other, GammaElement):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other is self:
-            return False
-        if isinstance(other, GammaElement):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other is self or isinstance(other, GammaElement):
-            return True
-        return NotImplemented
-
-    # Arithmetic defaults: alpha + INF = INF + alpha = -INF = INF.
+    # Arithmetic: alpha + INF = INF + alpha = alpha - INF = INF - alpha = -INF = INF.
     def __add__(self, other: object) -> "_Infinity":
         if other is self or isinstance(other, GammaElement):
             return self
         return NotImplemented
 
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "_Infinity":
-        if other is self or isinstance(other, GammaElement):
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other: object) -> "_Infinity":
-        if isinstance(other, GammaElement):
-            return self
-        return NotImplemented
+    __radd__ = __sub__ = __rsub__ = __add__
 
     def __neg__(self) -> "_Infinity":
         return self
@@ -236,15 +215,11 @@ class GammaElement:
     def __add__(self, other: object):
         if isinstance(other, GammaElement):
             return _combine(self, other, 1)
-        if other is INF:
-            return INF
         return NotImplemented
 
     def __sub__(self, other: object):
         if isinstance(other, GammaElement):
             return _combine(self, other, -1)
-        if other is INF:
-            return INF
         return NotImplemented
 
     def __neg__(self) -> "GammaElement":
@@ -285,8 +260,6 @@ class GammaElement:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._den == other._den and self._nums == other._nums
-        if other is INF:
-            return False
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -295,29 +268,21 @@ class GammaElement:
     def __lt__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) < 0
-        if other is INF:
-            return True
         return NotImplemented
 
     def __le__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) <= 0
-        if other is INF:
-            return True
         return NotImplemented
 
     def __gt__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) > 0
-        if other is INF:
-            return False
         return NotImplemented
 
     def __ge__(self, other: object) -> bool:
         if isinstance(other, GammaElement):
             return self._cmp(other) >= 0
-        if other is INF:
-            return False
         return NotImplemented
 
     def __repr__(self) -> str:

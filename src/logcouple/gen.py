@@ -21,7 +21,6 @@ from .sets import Interval, ThickenedSmall, UnaryRep
 __all__ = [
     "random_rational",
     "random_element",
-    "random_nonzero_element",
     "random_positive_element",
     "random_psi_function",
     "random_constraints",

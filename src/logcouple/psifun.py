@@ -69,7 +69,6 @@ __all__ = [
     "parse_linear",
     "fig2_set",
     "psifunction_to_json",
-    "psifunction_from_json",
     "component_to_json",
     "component_from_json",
     "imageunion_to_json",
@@ -755,6 +754,21 @@ def _capped_sweep(
         yield states
 
 
+def _union_sweep(X, K: int, target: Optional[GammaElement] = None):
+    """The capped-profile sweeps of every component of X to depth K, in
+    lockstep: returns (parts, D, layers) with parts ``_component_parts(X)``
+    and D ``_denominator(parts, K)``.  The k-th item of layers, k = 1..K,
+    holds each component's depth-k states in the order of parts: a sweep's
+    states after coordinate k - 1 are those of the depth-k sweep, and D is
+    a multiple of the denominator at every depth up to K.  An empty union
+    has K empty layers.  With ``target`` every sweep keeps only the chains
+    that agree with it (``_capped_sweep``)."""
+    parts = _component_parts(X)
+    D = _denominator(parts, K)
+    sweeps = [_capped_sweep(F, atoms, K, D, target) for F, atoms in parts]
+    return parts, D, zip(*sweeps) if sweeps else itertools.repeat((), K)
+
+
 # -- the limit-point probe ----------------------------------------------------
 
 
@@ -816,31 +830,22 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     """True iff for every k <= K some point of X other than gamma matches
     gamma on the first k coordinates.
 
-    One capped-profile sweep per component (``_capped_sweep``) runs with
-    gamma as its target and serves every depth: its states
-    after coordinate k - 1 are those of the depth-k sweep, so a chain is
-    cut at the first coordinate where it leaves gamma, and constrained
-    chains are cut as soon as their partial difference system is
-    unsatisfiable.  Each state at depth k is asked for a point other than
-    gamma.  A component's sweep only advances to depth k when the
-    components before it found no such point there."""
+    The components' sweeps (``_union_sweep``) run with gamma as their
+    target and serve every depth, so a chain is cut at the first coordinate
+    where it leaves gamma, and constrained chains are cut as soon as their
+    partial difference system is unsatisfiable.  Each state at depth k is
+    asked for a point other than gamma."""
     if K < 1:
         raise ValueError("probe depth must be >= 1")
     if not isinstance(gamma, GammaElement):
         raise ValueError("the limit-point probe takes a group element")
-    parts = _component_parts(X)
-    D = _denominator(parts, K)
-    sweeps = [_capped_sweep(F, atoms, K, D, gamma) for F, atoms in parts]
-    depth = [0] * len(parts)  # depth of states[j], the last states sweeps[j] yielded
-    states: List[Optional[set]] = [None] * len(parts)
-    for k in range(1, K + 1):
-        for j, (F, atoms) in enumerate(parts):
-            while depth[j] < k:
-                states[j] = next(sweeps[j])
-                depth[j] += 1
-            if any(_holds_other_point(F, atoms, capped, pins, k, gamma) for _, capped, pins in states[j]):
-                break
-        else:
+    parts, _, layers = _union_sweep(X, K, gamma)
+    for k, layer in enumerate(layers, 1):
+        if not any(
+            _holds_other_point(F, atoms, capped, pins, k, gamma)
+            for (F, atoms), states in zip(parts, layer)
+            for _, capped, pins in states
+        ):
             return False
     return True
 
@@ -1098,7 +1103,15 @@ def psifunction_to_json(F: PsiFunction) -> dict:
     }
 
 
-def psifunction_from_json(obj: Mapping) -> PsiFunction:
+def component_to_json(comp: Component) -> dict:
+    if isinstance(comp, PsiFunction):
+        return psifunction_to_json(comp)
+    d = psifunction_to_json(comp.base)
+    d["constraints"] = [a.to_json() for a in comp.constraints]
+    return d
+
+
+def component_from_json(obj: Mapping) -> Component:
     if not isinstance(obj, Mapping):
         raise ValueError("a component of an image union is a JSON object")
     named = obj.get("coeffs", {})
@@ -1118,19 +1131,7 @@ def psifunction_from_json(obj: Mapping) -> PsiFunction:
     offset = parse_element(offset)
     if offset is INF:
         raise ValueError("offset must be a group element")
-    return PsiFunction(coeffs, offset)
-
-
-def component_to_json(comp: Component) -> dict:
-    if isinstance(comp, PsiFunction):
-        return psifunction_to_json(comp)
-    d = psifunction_to_json(comp.base)
-    d["constraints"] = [a.to_json() for a in comp.constraints]
-    return d
-
-
-def component_from_json(obj: Mapping) -> Component:
-    F = psifunction_from_json(obj)
+    F = PsiFunction(coeffs, offset)
     if "constraints" in obj:
         if not isinstance(obj["constraints"], (list, tuple)):
             raise ValueError("'constraints' of a component must be a list of atoms")

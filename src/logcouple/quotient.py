@@ -5,34 +5,19 @@ elements whose first k coordinates vanish, so the quotient is the
 lexicographic rational k-space and the projection is coordinate
 truncation.  Images of small sets in these quotients are finite and are
 computed exactly from capped index profiles: the first k coordinates of a
-staircase sum only depend on min(n_i, k).  Coordinate c < k of F(n) is
-offset_c plus the sum of q_i over {i : n_i > c}, so a capped profile is a
-chain of label sets and ``psifun._capped_sweep`` sweeps the coordinates
-once, merging chains that agree on the prefix and on the labels still
-open; its cost follows the number of distinct vectors, not k^|I|.  For a
-constrained image a chain is pruned as soon as its partial difference
-system (open labels at least c + 1, left labels pinned) is unsatisfiable;
-completions only tighten that system, so nothing satisfiable is lost, and
-at the last coordinate the test is exactly the satisfiability of the full
-capped profile.  ``project_set`` and ``count_function`` sweep without a
-target, so each asks ``solve_min`` once per distinct residual system (the
-step capped past the largest bound, the open and leaving labels, and the
-capped ages of the pins that share an edge with them; the proof is in
-``_capped_sweep``).  The targeted sweep of the limit-point probe and of
-``sets.ThickenedSmall.contains`` keeps no such memo: its target cuts
-chains so early that most of its questions are asked only once.
+staircase sum only depend on min(n_i, k).  ``psifun._capped_sweep``
+enumerates those profiles one coordinate at a time, and
+``psifun._union_sweep`` runs one such sweep per component of a union, in
+lockstep and over one common denominator D; their docstrings give the
+argument (merged chains, pruned constrained chains, the memo of residual
+systems, and why one sweep serves every depth up to its own).
 
-The sweep carries every coordinate as an integer numerator over one
-common denominator D, the lcm of the denominators of all coefficients and
-of the first k offset coordinates of every component, so the vectors of
-all components are unioned as integer tuples.  ``project_set`` returns
-them, with D, as a read-only ``QuotientImage`` and makes no Fraction
-while it computes: its length is the count at depth k, a
+``project_set`` keeps the distinct integer vectors of the union's last
+layer and returns them, with D, as a read-only ``QuotientImage`` and makes
+no Fraction while it computes: its length is the count at depth k, a
 membership query is scaled by D and looked up among the integer vectors,
 and iteration yields sorted Fraction tuples, one Fraction per distinct
-value.  The limit-point probe (``psifun.limit_point_probe``) runs the
-same sweep once per component for all depths up to its own, and so does
-``count_function`` for a table, to its largest k.
+value.  ``count_function`` runs the union's sweeps once, to its largest k.
 """
 
 from __future__ import annotations
@@ -45,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .element import GammaElement, GammaExt, INF, format_rational, psi_point
-from .psifun import _capped_sweep, _component_parts, _denominator, _scaled
+from .psifun import _scaled, _union_sweep
 
 __all__ = [
     "Phi",
@@ -182,46 +167,32 @@ class QuotientImage(AbcSet):
 
 def project_set(X, k: int) -> QuotientImage:
     """The exact finite projection of an image union or constrained image:
-    the vectors of the capped-profile sweep of each component (a cap
-    meaning "at least k"), constrained chains pruned as soon as their
-    difference system is unsatisfiable.  The components share one
-    denominator D, so their integer vectors are unioned as they come out
-    of the sweep and kept in a ``QuotientImage``; no Fraction is made
-    until the image is iterated."""
+    the distinct vectors of the depth-k layer of ``_union_sweep`` (a cap
+    meaning "at least k"), kept in a ``QuotientImage`` over the sweep's
+    denominator D; no Fraction is made until the image is iterated."""
     if k < 1:
         raise ValueError("projection depth must be >= 1")
-    parts = _component_parts(X)
-    D = _denominator(parts, k)
-    vectors: Set[Tuple[int, ...]] = set()
-    for F, atoms in parts:
-        for states in _capped_sweep(F, atoms, k, D):
-            pass  # only the states of the last coordinate are the depth-k ones
-        vectors.update(vec for vec, _, _ in states)
-    return QuotientImage(vectors, D, k)
+    _, D, layers = _union_sweep(X, k)
+    for layer in layers:
+        pass  # only the last layer holds the depth-k states
+    return QuotientImage({vec for states in layer for vec, _, _ in states}, D, k)
 
 
 def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:
     """Exact quotient cardinalities |projection at s^k0| for each k, in the
-    order of ks (repeats kept).  One capped-profile sweep per component
-    runs to K = max(ks) over D, the denominator at K; its states after
-    coordinate k - 1 are those of the depth-k sweep, and D is a multiple
-    of the denominator at every smaller k, so the number of distinct
-    vectors in the union of the components' depth-k states is
-    ``len(project_set(X, k))``.  Only one depth's vectors are held at a
-    time, and no Fraction is made."""
+    order of ks (repeats kept).  One ``_union_sweep`` runs to K = max(ks);
+    its layer k is the depth-k sweep of every component, so the number of
+    distinct vectors in it is ``len(project_set(X, k))``.  Only one depth's
+    vectors are held at a time, and no Fraction is made."""
     ks = list(ks)
     if any(k < 1 for k in ks):
         raise ValueError("projection depth must be >= 1")
     if not ks:
         return []
-    parts = _component_parts(X)
-    K = max(ks)
-    D = _denominator(parts, K)
-    sweeps = [_capped_sweep(F, atoms, K, D) for F, atoms in parts]
     counts = dict.fromkeys(ks, 0)
-    for k, layers in enumerate(zip(*sweeps), 1):
+    for k, layer in enumerate(_union_sweep(X, max(ks))[2], 1):
         if k in counts:
-            counts[k] = len({vec for states in layers for vec, _, _ in states})
+            counts[k] = len({vec for states in layer for vec, _, _ in states})
     return [(k, counts[k]) for k in ks]
 
 

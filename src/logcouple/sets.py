@@ -33,10 +33,8 @@ from .element import (
 from .psifun import (
     Component,
     ConstrainedImage,
-    _capped_sweep,
-    _component_parts,
     _components,
-    _denominator,
+    _union_sweep,
     component_to_json,
     contains as image_contains,
     d_rank,
@@ -117,12 +115,11 @@ class ThickenedSmall:
     def contains(self, x: GammaElement) -> bool:
         if self.thicken.is_finite:
             # project(x, k) in project_set(self.core, k), without building the
-            # image: each sweep drops a chain at the first coordinate that
-            # leaves project(x, k), and all() stops at the first empty step.
-            k = self.thicken.k
-            parts = _component_parts(self.core)
-            D = _denominator(parts, k)
-            return any(all(_capped_sweep(F, atoms, k, D, x)) for F, atoms in parts)
+            # image: each sweep keeps the chains that agree with project(x, k).
+            # Every state grows from a parent, so one left at depth k is enough.
+            for layer in _union_sweep(self.core, self.thicken.k, x)[2]:
+                pass
+            return any(layer)
         return image_contains(self.core, x)
 
 

@@ -40,7 +40,6 @@ from .element import (
 from .psifun import PsiFunction
 
 __all__ = [
-    "Term",
     "Var",
     "Const",
     "Add",

@@ -283,6 +283,12 @@ BAD_INPUTS = {
     },
     "unary-no-factor.json": {"arity": 1, "products": [[]]},
     "value-inf.json": {"evals": [{"args": [1], "value": "inf"}, {"args": [2], "value": "[1]"}]},
+    "binary-rep.json": {
+        "arity": 2,
+        "products": [
+            [{"kind": "interval", "lo": "-inf", "hi": "+inf"}, {"kind": "interval", "lo": "[]", "hi": "[1]"}]
+        ],
+    },
 }
 
 
@@ -351,6 +357,14 @@ class TestInputErrors:
             (["dset", "--union", "x0", "--file", "constrained.json"], "not allowed with argument --union"),
             (["count", "--union", "x0", "--file", "constrained.json", "--k", "1..2"], "not allowed with argument --union"),
             (["repl", "--json"], "unrecognized arguments: --json"),
+            (["eval", "x", "--env", "x"], "--env expects name=element"),
+            (["count", "--union", "x0", "--k", "5..2"], "bad range '5..2'"),
+            (["project-set", "--union", "x0", "--k", "1..3"], "project-set takes a single k"),
+            (["member", "--union", "x0", "--gamma", "inf"], "membership is about group elements"),
+            (["project", "inf", "--k", "2"], "projection is about group elements"),
+            (["crosscheck", "--rep", "binary-rep.json", "--phi", "s^3"], "crosscheck takes a unary representation"),
+            (["witness", "inf"], "needs a positive group element"),
+            (["clique", "--phi", "inf", "--point", "[1]"], "clique needs a finite scale value"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

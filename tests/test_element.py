@@ -1,6 +1,7 @@
 """Core arithmetic and primitive tests for the computable model."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -127,6 +128,187 @@ class TestArithmeticAndOrder:
         if a < b:
             assert a + unit(3) < b + unit(3)
             assert -b < -a
+
+
+# The outcome of + - * == != < <= > >=, in that order, for every
+# pair of operands in which a group element or INF takes part: a value in
+# the literal syntax, T or F, or the exception raised (TE TypeError, VE
+# ValueError).  INF's rules live in _Infinity alone, so a mixed pair is
+# answered by its reflected method or by the identity fallback of ==.
+_OPERANDS = {
+    "0": ZERO,
+    "e1": unit(1),
+    "-e1": -unit(1),
+    "e3/2": unit(3) * Fraction(1, 2),
+    "E3": psi_point(3),
+    "inf": INF,
+    "int0": 0,
+    "int2": 2,
+    "1/2": Fraction(1, 2),
+    "1.5": 1.5,
+    "None": None,
+    "'x'": "x",
+}
+_BINARY = [
+    operator.add, operator.sub, operator.mul,
+    operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge,
+]
+_OPERATOR_TABLE = """
+0    0    [] | [] | TE | T | F | F | T | F | T
+0    e1   [0, 1] | [0, -1] | TE | F | T | T | T | F | F
+0    -e1  [0, -1] | [0, 1] | TE | F | T | F | F | T | T
+0    e3/2 [0, 0, 0, 1/2] | [0, 0, 0, -1/2] | TE | F | T | T | T | F | F
+0    E3   [1, 1, 1] | [-1, -1, -1] | TE | F | T | T | T | F | F
+0    inf  inf | inf | TE | F | T | T | T | F | F
+0    int0 TE | TE | [] | F | T | TE | TE | TE | TE
+0    int2 TE | TE | [] | F | T | TE | TE | TE | TE
+0    1/2  TE | TE | [] | F | T | TE | TE | TE | TE
+0    1.5  TE | TE | TE | F | T | TE | TE | TE | TE
+0    None TE | TE | TE | F | T | TE | TE | TE | TE
+0    'x'  TE | TE | TE | F | T | TE | TE | TE | TE
+e1   0    [0, 1] | [0, 1] | TE | F | T | F | F | T | T
+e1   e1   [0, 2] | [] | TE | T | F | F | T | F | T
+e1   -e1  [] | [0, 2] | TE | F | T | F | F | T | T
+e1   e3/2 [0, 1, 0, 1/2] | [0, 1, 0, -1/2] | TE | F | T | F | F | T | T
+e1   E3   [1, 2, 1] | [-1, 0, -1] | TE | F | T | T | T | F | F
+e1   inf  inf | inf | TE | F | T | T | T | F | F
+e1   int0 TE | TE | [] | F | T | TE | TE | TE | TE
+e1   int2 TE | TE | [0, 2] | F | T | TE | TE | TE | TE
+e1   1/2  TE | TE | [0, 1/2] | F | T | TE | TE | TE | TE
+e1   1.5  TE | TE | TE | F | T | TE | TE | TE | TE
+e1   None TE | TE | TE | F | T | TE | TE | TE | TE
+e1   'x'  TE | TE | TE | F | T | TE | TE | TE | TE
+-e1  0    [0, -1] | [0, -1] | TE | F | T | T | T | F | F
+-e1  e1   [] | [0, -2] | TE | F | T | T | T | F | F
+-e1  -e1  [0, -2] | [] | TE | T | F | F | T | F | T
+-e1  e3/2 [0, -1, 0, 1/2] | [0, -1, 0, -1/2] | TE | F | T | T | T | F | F
+-e1  E3   [1, 0, 1] | [-1, -2, -1] | TE | F | T | T | T | F | F
+-e1  inf  inf | inf | TE | F | T | T | T | F | F
+-e1  int0 TE | TE | [] | F | T | TE | TE | TE | TE
+-e1  int2 TE | TE | [0, -2] | F | T | TE | TE | TE | TE
+-e1  1/2  TE | TE | [0, -1/2] | F | T | TE | TE | TE | TE
+-e1  1.5  TE | TE | TE | F | T | TE | TE | TE | TE
+-e1  None TE | TE | TE | F | T | TE | TE | TE | TE
+-e1  'x'  TE | TE | TE | F | T | TE | TE | TE | TE
+e3/2 0    [0, 0, 0, 1/2] | [0, 0, 0, 1/2] | TE | F | T | F | F | T | T
+e3/2 e1   [0, 1, 0, 1/2] | [0, -1, 0, 1/2] | TE | F | T | T | T | F | F
+e3/2 -e1  [0, -1, 0, 1/2] | [0, 1, 0, 1/2] | TE | F | T | F | F | T | T
+e3/2 e3/2 [0, 0, 0, 1] | [] | TE | T | F | F | T | F | T
+e3/2 E3   [1, 1, 1, 1/2] | [-1, -1, -1, 1/2] | TE | F | T | T | T | F | F
+e3/2 inf  inf | inf | TE | F | T | T | T | F | F
+e3/2 int0 TE | TE | [] | F | T | TE | TE | TE | TE
+e3/2 int2 TE | TE | [0, 0, 0, 1] | F | T | TE | TE | TE | TE
+e3/2 1/2  TE | TE | [0, 0, 0, 1/4] | F | T | TE | TE | TE | TE
+e3/2 1.5  TE | TE | TE | F | T | TE | TE | TE | TE
+e3/2 None TE | TE | TE | F | T | TE | TE | TE | TE
+e3/2 'x'  TE | TE | TE | F | T | TE | TE | TE | TE
+E3   0    [1, 1, 1] | [1, 1, 1] | TE | F | T | F | F | T | T
+E3   e1   [1, 2, 1] | [1, 0, 1] | TE | F | T | F | F | T | T
+E3   -e1  [1, 0, 1] | [1, 2, 1] | TE | F | T | F | F | T | T
+E3   e3/2 [1, 1, 1, 1/2] | [1, 1, 1, -1/2] | TE | F | T | F | F | T | T
+E3   E3   [2, 2, 2] | [] | TE | T | F | F | T | F | T
+E3   inf  inf | inf | TE | F | T | T | T | F | F
+E3   int0 TE | TE | [] | F | T | TE | TE | TE | TE
+E3   int2 TE | TE | [2, 2, 2] | F | T | TE | TE | TE | TE
+E3   1/2  TE | TE | [1/2, 1/2, 1/2] | F | T | TE | TE | TE | TE
+E3   1.5  TE | TE | TE | F | T | TE | TE | TE | TE
+E3   None TE | TE | TE | F | T | TE | TE | TE | TE
+E3   'x'  TE | TE | TE | F | T | TE | TE | TE | TE
+inf  0    inf | inf | TE | F | T | F | F | T | T
+inf  e1   inf | inf | TE | F | T | F | F | T | T
+inf  -e1  inf | inf | TE | F | T | F | F | T | T
+inf  e3/2 inf | inf | TE | F | T | F | F | T | T
+inf  E3   inf | inf | TE | F | T | F | F | T | T
+inf  inf  inf | inf | TE | T | F | F | T | F | T
+inf  int0 TE | TE | VE | F | T | TE | TE | TE | TE
+inf  int2 TE | TE | inf | F | T | TE | TE | TE | TE
+inf  1/2  TE | TE | inf | F | T | TE | TE | TE | TE
+inf  1.5  TE | TE | TE | F | T | TE | TE | TE | TE
+inf  None TE | TE | TE | F | T | TE | TE | TE | TE
+inf  'x'  TE | TE | TE | F | T | TE | TE | TE | TE
+int0 0    TE | TE | [] | F | T | TE | TE | TE | TE
+int0 e1   TE | TE | [] | F | T | TE | TE | TE | TE
+int0 -e1  TE | TE | [] | F | T | TE | TE | TE | TE
+int0 e3/2 TE | TE | [] | F | T | TE | TE | TE | TE
+int0 E3   TE | TE | [] | F | T | TE | TE | TE | TE
+int0 inf  TE | TE | VE | F | T | TE | TE | TE | TE
+int2 0    TE | TE | [] | F | T | TE | TE | TE | TE
+int2 e1   TE | TE | [0, 2] | F | T | TE | TE | TE | TE
+int2 -e1  TE | TE | [0, -2] | F | T | TE | TE | TE | TE
+int2 e3/2 TE | TE | [0, 0, 0, 1] | F | T | TE | TE | TE | TE
+int2 E3   TE | TE | [2, 2, 2] | F | T | TE | TE | TE | TE
+int2 inf  TE | TE | inf | F | T | TE | TE | TE | TE
+1/2  0    TE | TE | [] | F | T | TE | TE | TE | TE
+1/2  e1   TE | TE | [0, 1/2] | F | T | TE | TE | TE | TE
+1/2  -e1  TE | TE | [0, -1/2] | F | T | TE | TE | TE | TE
+1/2  e3/2 TE | TE | [0, 0, 0, 1/4] | F | T | TE | TE | TE | TE
+1/2  E3   TE | TE | [1/2, 1/2, 1/2] | F | T | TE | TE | TE | TE
+1/2  inf  TE | TE | inf | F | T | TE | TE | TE | TE
+1.5  0    TE | TE | TE | F | T | TE | TE | TE | TE
+1.5  e1   TE | TE | TE | F | T | TE | TE | TE | TE
+1.5  -e1  TE | TE | TE | F | T | TE | TE | TE | TE
+1.5  e3/2 TE | TE | TE | F | T | TE | TE | TE | TE
+1.5  E3   TE | TE | TE | F | T | TE | TE | TE | TE
+1.5  inf  TE | TE | TE | F | T | TE | TE | TE | TE
+None 0    TE | TE | TE | F | T | TE | TE | TE | TE
+None e1   TE | TE | TE | F | T | TE | TE | TE | TE
+None -e1  TE | TE | TE | F | T | TE | TE | TE | TE
+None e3/2 TE | TE | TE | F | T | TE | TE | TE | TE
+None E3   TE | TE | TE | F | T | TE | TE | TE | TE
+None inf  TE | TE | TE | F | T | TE | TE | TE | TE
+'x'  0    TE | TE | TE | F | T | TE | TE | TE | TE
+'x'  e1   TE | TE | TE | F | T | TE | TE | TE | TE
+'x'  -e1  TE | TE | TE | F | T | TE | TE | TE | TE
+'x'  e3/2 TE | TE | TE | F | T | TE | TE | TE | TE
+'x'  E3   TE | TE | TE | F | T | TE | TE | TE | TE
+'x'  inf  TE | TE | TE | F | T | TE | TE | TE | TE
+"""
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except (TypeError, ValueError) as exc:
+        return {TypeError: "TE", ValueError: "VE"}[type(exc)]
+    if isinstance(v, bool):
+        return "T" if v else "F"
+    return format_element(v)
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize(
+        "row", _OPERATOR_TABLE.strip().splitlines(), ids=lambda row: " vs ".join(row.split()[:2])
+    )
+    def test_binary(self, row):
+        a, b, rest = row.split(maxsplit=2)
+        x, y = _OPERANDS[a], _OPERANDS[b]
+        got = [_outcome(op, x, y) for op in _BINARY]
+        assert got == rest.split(" | ")
+
+    @pytest.mark.parametrize(
+        "name, neg, absolute",
+        [
+            ("0", "[]", "[]"),
+            ("e1", "[0, -1]", "[0, 1]"),
+            ("-e1", "[0, 1]", "[0, 1]"),
+            ("e3/2", "[0, 0, 0, -1/2]", "[0, 0, 0, 1/2]"),
+            ("E3", "[-1, -1, -1]", "[1, 1, 1]"),
+            ("inf", "inf", "TE"),
+        ],
+    )
+    def test_unary(self, name, neg, absolute):
+        x = _OPERANDS[name]
+        assert (_outcome(operator.neg, x), _outcome(abs, x)) == (neg, absolute)
+        assert isinstance(hash(x), int)
+
+    def test_containers_holding_inf(self):
+        values = [INF, unit(1), ZERO, -unit(1), psi_point(3), INF]
+        order = ["[0, -1]", "[]", "[0, 1]", "[1, 1, 1]", "inf", "inf"]
+        assert [format_element(v) for v in sorted(values)] == order
+        assert [format_element(v) for v in sorted(values, reverse=True)] == order[::-1]
+        assert min(values) == -unit(1) and max(values) is INF
+        assert INF not in [ZERO, unit(1)] and INF in [ZERO, INF]
+        assert unit(1) in [INF, ZERO, unit(1)]
 
 
 class TestConstructorNumbers:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcouple import quotient
+from logcouple import psifun
 from logcouple.element import ZERO, GammaElement, parse_element, psi, psi_point, compare
 from logcouple.psifun import (
     Atom,
@@ -421,13 +421,13 @@ class TestCount:
 
     def test_one_sweep_per_component(self, monkeypatch):
         depths = []
-        sweep = quotient._capped_sweep
+        sweep = psifun._capped_sweep
 
         def counting(F, atoms, k, D, target=None):
             depths.append(k)
             return sweep(F, atoms, k, D, target)
 
-        monkeypatch.setattr(quotient, "_capped_sweep", counting)
+        monkeypatch.setattr(psifun, "_capped_sweep", counting)
         X = [fig2_set(), parse_linear("x0 - x1"), parse_linear("x0")]
         assert count_function(X, [4, 2, 7, 7]) == [(k, len(project_set(X, k))) for k in (4, 2, 7, 7)]
         # project_set's own sweeps come after count_function's three
