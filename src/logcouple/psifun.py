@@ -429,7 +429,7 @@ def derived_set(X) -> List[Component]:
             if any(i in J and j not in J for a in atoms for i, j, _ in a.edges):
                 continue  # (ii): an edge leaves J, so it bounds a label of J from above
             inside = tuple(a for a in atoms if a.i in J and (a.j is None or a.j in J))
-            if not _holds_other_point(F.restrict(J), inside, (1 << len(J)) - 1, (), 1, F.offset):
+            if not _holds_other_point(F.restrict(J), inside, [(None, (1 << len(J)) - 1, ())], 1, F.offset):
                 continue  # (iii): the J part is 0 on every solution
             rest = tuple(a for a in atoms if a.i not in J and a.j not in J)
             G = F.restrict(set(labels) - J)
@@ -569,19 +569,14 @@ def member_constrained(gamma: GammaElement, C: ConstrainedImage) -> Optional[Dic
     the combined difference system; the search stops at the first family
     that has one."""
     for sol in _member_families(gamma, C.base):
-        floating_labels = set().union(*sol.floating) if sol.floating else set()
-        lower: Dict[int, int] = {}
-        upper: Dict[int, int] = {}
+        floating_labels = set().union(*sol.floating)
+        fixed = {l: v for l, v in sol.assignment if l not in floating_labels}
         atoms = list(C.constraints)
-        for l, v in sol.assignment:
-            if l not in floating_labels:
-                lower[l] = v
-                upper[l] = v
         for group in sol.floating:
             anchor = min(group)
             for other in sorted(group - {anchor}):
                 atoms.append(Atom("diff_eq", anchor, 0, other))
-        witness = solve_min(C.base.labels, atoms, lower=lower, upper=upper)
+        witness = solve_min(C.base.labels, atoms, lower=fixed, upper=fixed)
         if witness is not None:
             return witness
     return None
@@ -686,10 +681,7 @@ def _capped_sweep(
     want: Optional[List[Optional[int]]] = None
     if target is not None:
         d, nums = target.prefix_numerators(k)
-        want = []
-        for c in nums:
-            num, rem = divmod(c * D, d)
-            want.append(None if rem else num)
+        want = [None if c * D % d else c * D // d for c in nums]
 
     def keep(c: int, value: int, open_mask: int, pins) -> bool:
         if want is not None and value != want[c]:
@@ -745,7 +737,7 @@ def _capped_sweep(
                         grown.add((prefix + (value,), sub, pinned))
                         if clocked:
                             kept.append(sub)
-                elif keep(c, value, sub, pins):
+                elif want is None or value == want[c]:
                     grown.add((prefix + (value,), sub, pins))
                 if sub == 0:
                     break
@@ -769,12 +761,22 @@ def _union_sweep(X, K: int, target: Optional[GammaElement] = None):
     return parts, D, zip(*sweeps) if sweeps else itertools.repeat((), K)
 
 
+def _last_layer(X, K: int, target: Optional[GammaElement] = None):
+    """``_union_sweep``'s (parts, D, depth-K layer), the layer () from the
+    first empty one on: a state at depth k grows from one at depth k - 1."""
+    parts, D, layers = _union_sweep(X, K, target)
+    for layer in layers:
+        if not any(layer):
+            return parts, D, ()
+    return parts, D, layer
+
+
 # -- the limit-point probe ----------------------------------------------------
 
 
-def _holds_other_point(F: PsiFunction, atoms, capped: int, pins, k: int, gamma: GammaElement) -> bool:
-    """Whether a capped-profile state of F whose vector is gamma.truncate(k)
-    holds a point of the component other than gamma.
+def _holds_other_point(F: PsiFunction, atoms, states, k: int, gamma: GammaElement) -> bool:
+    """Whether some capped-profile state of F (vector, capped mask, pins)
+    with vector gamma.truncate(k) holds a point other than gamma.
 
     With atoms the answer comes from the least solution and its unit
     pushes, and it is exact.  Let S be the solutions of the state's
@@ -809,20 +811,23 @@ def _holds_other_point(F: PsiFunction, atoms, capped: int, pins, k: int, gamma: 
         # A capped label makes the family take infinitely many distinct
         # values.  With none capped every n_i < k, and E_{n_i} touches no
         # coordinate >= k - 1, so the point equals gamma iff the offset
-        # agrees with gamma on every coordinate >= k.
-        diff = F.offset - gamma
-        return bool(capped) or (not diff.is_zero and diff.last_index >= k)
-    labels = F.labels
-    upper = dict(pins)
-    free = [l for i, l in enumerate(labels) if capped >> i & 1]
-    # never None: the sweep and derived_set only ask about satisfiable states
-    least = solve_min(labels, atoms, lower={**upper, **dict.fromkeys(free, k)}, upper=upper)
-    if F.evaluate(least) != gamma:
-        return True
-    for l in free:
-        pushed = solve_min(labels, atoms, lower={**least, l: least[l] + 1}, upper=upper)
-        if pushed is not None and F.evaluate(pushed) != gamma:
+        # agrees with gamma on every coordinate >= k, whatever the pins.
+        if any(capped for _, capped, _ in states):
             return True
+        diff = F.offset - gamma
+        return bool(states) and not diff.is_zero and diff.last_index >= k
+    labels = F.labels
+    for _, capped, pins in states:
+        upper = dict(pins)
+        free = [l for i, l in enumerate(labels) if capped >> i & 1]
+        # never None: the sweep and derived_set only ask about satisfiable states
+        least = solve_min(labels, atoms, lower={**upper, **dict.fromkeys(free, k)}, upper=upper)
+        if F.evaluate(least) != gamma:
+            return True
+        for l in free:
+            pushed = solve_min(labels, atoms, lower={**least, l: least[l] + 1}, upper=upper)
+            if pushed is not None and F.evaluate(pushed) != gamma:
+                return True
     return False
 
 
@@ -830,24 +835,16 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     """True iff for every k <= K some point of X other than gamma matches
     gamma on the first k coordinates.
 
-    The components' sweeps (``_union_sweep``) run with gamma as their
-    target and serve every depth, so a chain is cut at the first coordinate
-    where it leaves gamma, and constrained chains are cut as soon as their
-    partial difference system is unsatisfiable.  Each state at depth k is
-    asked for a point other than gamma."""
+    A point that matches gamma on the first K coordinates matches it on
+    every shorter prefix, so only depth K is asked.  The sweeps of
+    ``_last_layer`` target gamma, so a chain is cut at the first coordinate
+    that leaves it, and the probe is False at the first empty layer."""
     if K < 1:
         raise ValueError("probe depth must be >= 1")
     if not isinstance(gamma, GammaElement):
         raise ValueError("the limit-point probe takes a group element")
-    parts, _, layers = _union_sweep(X, K, gamma)
-    for k, layer in enumerate(layers, 1):
-        if not any(
-            _holds_other_point(F, atoms, capped, pins, k, gamma)
-            for (F, atoms), states in zip(parts, layer)
-            for _, capped, pins in states
-        ):
-            return False
-    return True
+    parts, _, layer = _last_layer(X, K, gamma)
+    return any(_holds_other_point(F, atoms, states, K, gamma) for (F, atoms), states in zip(parts, layer))
 
 
 # -- recovery from probe evaluations -------------------------------------------
@@ -988,15 +985,10 @@ def sample_points(X, count: int) -> List[GammaElement]:
     for t in range(1, _SAMPLE_ROUNDS + 1):
         for F, atoms in parts:
             labels = F.labels
-            if not labels:
-                candidates: Iterable[Tuple[int, ...]] = [()]
-            else:
-                candidates = (
-                    c
-                    for c in itertools.product(range(1, t + 1), repeat=len(labels))
-                    if t == 1 or max(c) == t
-                )
-            for combo in candidates:
+            # a constant's () counts at t = 1
+            for combo in itertools.product(range(1, t + 1), repeat=len(labels)):
+                if max(combo, default=1) != t:
+                    continue
                 assignment = dict(zip(labels, combo))
                 if atoms and not satisfies(assignment, atoms):
                     continue

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .element import GammaElement, GammaExt, INF, format_rational, psi_point
-from .psifun import _scaled, _union_sweep
+from .psifun import _last_layer, _scaled, _union_sweep
 
 __all__ = [
     "Phi",
@@ -167,14 +167,12 @@ class QuotientImage(AbcSet):
 
 def project_set(X, k: int) -> QuotientImage:
     """The exact finite projection of an image union or constrained image:
-    the distinct vectors of the depth-k layer of ``_union_sweep`` (a cap
+    the distinct vectors of the depth-k layer of ``_last_layer`` (a cap
     meaning "at least k"), kept in a ``QuotientImage`` over the sweep's
     denominator D; no Fraction is made until the image is iterated."""
     if k < 1:
         raise ValueError("projection depth must be >= 1")
-    _, D, layers = _union_sweep(X, k)
-    for layer in layers:
-        pass  # only the last layer holds the depth-k states
+    _, D, layer = _last_layer(X, k)
     return QuotientImage({vec for states in layer for vec, _, _ in states}, D, k)
 
 

@@ -34,7 +34,7 @@ from .psifun import (
     Component,
     ConstrainedImage,
     _components,
-    _union_sweep,
+    _last_layer,
     component_to_json,
     contains as image_contains,
     d_rank,
@@ -113,13 +113,12 @@ class ThickenedSmall:
         return all(isinstance(comp, ConstrainedImage) and comp.is_empty() for comp in self.core)
 
     def contains(self, x: GammaElement) -> bool:
+        """At a finite scale s^k, project(x, k) in project_set(self.core, k)
+        without building the image: the sweeps keep the chains that agree
+        with x and stop at the first empty layer (``psifun._last_layer``).
+        inf is in no thickened small set."""
         if self.thicken.is_finite:
-            # project(x, k) in project_set(self.core, k), without building the
-            # image: each sweep keeps the chains that agree with project(x, k).
-            # Every state grows from a parent, so one left at depth k is enough.
-            for layer in _union_sweep(self.core, self.thicken.k, x)[2]:
-                pass
-            return any(layer)
+            return isinstance(x, GammaElement) and any(_last_layer(self.core, self.thicken.k, x)[2])
         return image_contains(self.core, x)
 
 

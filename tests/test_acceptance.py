@@ -177,6 +177,11 @@ def test_criterion_4_derived_set_oracle():
                 outside += 1
             assert outside == 10
         assert derived_points_checked >= 50  # the criterion is not vacuous
+        # the worked example's first derived set is {0} u {e_m : m >= 1}:
+        # its first seven points are limit points at depth 30 as well
+        X = fig2_set()
+        for p in [ZERO] + [unit(m) for m in range(1, 7)]:
+            assert limit_point_probe(p, X, 30), p
         assert time.time() - start < 120.0
 
 

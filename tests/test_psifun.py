@@ -17,6 +17,7 @@ from logcouple.element import (
     psi_point,
     unit,
 )
+from logcouple import psifun
 from logcouple.gen import random_element
 from logcouple.psifun import (
     Atom,
@@ -25,6 +26,7 @@ from logcouple.psifun import (
     _component_parts,
     _denominator,
     _holds_other_point,
+    _last_layer,
     component_from_json,
     component_to_json,
     contains,
@@ -48,6 +50,7 @@ from logcouple.psifun import (
     satisfies,
     solve_min,
 )
+from logcouple.quotient import project_set
 from sampled_sets import expand_solutions, sampled_equal
 
 
@@ -176,10 +179,12 @@ def _has_nongamma_value(
     return False
 
 
-def reference_probe(gamma, X, K):
+def reference_probe_depth(gamma, X, K):
     """The per-profile probe loop that preceded the capped-profile sweep,
-    kept verbatim as a differential oracle: every profile in {1..k}^I is
-    built and truncated on its own."""
+    kept as a differential oracle: every profile in {1..k}^I is built and
+    truncated on its own, and every depth k = 1..K is asked in turn.
+    Returns the first depth at which no point other than gamma matches, or
+    None where the probe is True."""
     if K < 1:
         raise ValueError("probe depth must be >= 1")
     parts = _component_parts(X)
@@ -219,8 +224,15 @@ def reference_probe(gamma, X, K):
             if found:
                 break
         if not found:
-            return False
-    return True
+            return k
+    return None
+
+
+def answered_early(gamma, X, depth, K):
+    """Whether the reference answered at a depth below K whose layer has
+    states: some point of X matches gamma there, yet none other than gamma
+    does (gamma an isolated point of X, say)."""
+    return depth is not None and depth < K and gamma.truncate(depth) in project_set(X, depth)
 
 
 def random_state(rng):
@@ -768,7 +780,7 @@ class TestProbe:
 
     def test_matches_per_profile_reference(self):
         rng = random.Random(11)
-        trues = 0
+        trues = early = 0
         for _ in range(120):
             X = []
             for _ in range(rng.randint(1, 2)):
@@ -783,16 +795,21 @@ class TestProbe:
             for gamma in gammas:
                 K = rng.randint(1, 5)
                 got = limit_point_probe(gamma, X, K)
-                assert got == reference_probe(gamma, X, K), (X, gamma, K)
+                depth = reference_probe_depth(gamma, X, K)
+                assert got == (depth is None), (X, gamma, K)
                 trues += got
-        assert trues > 100  # the oracle also confirms limit points, not only misses
+                early += answered_early(gamma, X, depth, K)
+        # the oracle also confirms limit points, not only misses, and the
+        # probe, which only asks depth K, meets the misses the reference
+        # found at a shallower depth that still had states
+        assert trues > 100 and early > 100, (trues, early)
 
     def test_matches_per_profile_reference_deep(self):
         # depths 6..8, where one sweep serves all depths; the gammas include
         # points moved by a seventh or an eleventh at coordinate 2 or 3,
         # mostly outside (1/D)Z for the union's common denominator D
         rng = random.Random(23)
-        trues = off_grid = constrained_trues = 0
+        trues = off_grid = constrained_trues = early = 0
         for _ in range(60):
             X = []
             for _ in range(rng.randint(1, 2)):
@@ -811,17 +828,49 @@ class TestProbe:
             for gamma in gammas:
                 K = rng.randint(6, 8)
                 got = limit_point_probe(gamma, X, K)
-                assert got == reference_probe(gamma, X, K), (X, gamma, K)
+                depth = reference_probe_depth(gamma, X, K)
+                assert got == (depth is None), (X, gamma, K)
                 trues += got
+                early += answered_early(gamma, X, depth, K)
                 constrained_trues += got and len(plain) < len(X)
                 D = _denominator(_component_parts(X), K)
                 off_grid += any(D % q.denominator for _, q in gamma.items())
-        assert trues > 40 and constrained_trues > 10 and off_grid > 40, (trues, constrained_trues, off_grid)
+        assert trues > 40 and constrained_trues > 10 and off_grid > 40 and early > 60, (
+            trues,
+            constrained_trues,
+            off_grid,
+            early,
+        )
+
+    def test_asks_depth_k_only(self, monkeypatch):
+        # every state the probe asks is at depth K, and a probe whose sweep
+        # empties before depth K asks none
+        calls = []
+        holds = psifun._holds_other_point
+
+        def recording(F, atoms, states, k, gamma):
+            calls.append(k)
+            return holds(F, atoms, states, k, gamma)
+
+        monkeypatch.setattr(psifun, "_holds_other_point", recording)
+        X = fig2_set()
+        for gamma, K, want in [(ZERO, 8, True), (unit(3), 12, True), (unit(1) + unit(2), 8, False)]:
+            calls.clear()
+            assert limit_point_probe(gamma, X, K) is want
+            assert calls and set(calls) == {K}, (gamma, K, calls)
+        # e_1 + e_2 is a point of X; a seventh at coordinate 4 leaves every
+        # chain at depth 5, after states at depths 1..4
+        gamma = unit(1) + unit(2) + unit(4) * Fraction(1, 7)
+        assert any(_last_layer(X, 4, gamma)[2])
+        for X, gamma in [(X, gamma), ([fn("x0 - x1")], el("[1]")), ([fn("x0 - x1"), fn("x0 + [0, 1]")], el("[2]"))]:
+            calls.clear()
+            assert limit_point_probe(gamma, X, 8) is False
+            assert calls == [], (X, gamma, calls)
 
     @staticmethod
     def _check_state(F, atoms, pins, k, gamma):
         capped = sum(1 << i for i, l in enumerate(F.labels) if l not in dict(pins))
-        got = _holds_other_point(F, atoms, capped, pins, k, gamma)
+        got = _holds_other_point(F, atoms, [(None, capped, pins)], k, gamma)
         assert got == brute_other_point(F, atoms, pins, k, gamma), (F, atoms, pins, k, gamma)
         capped_labels = [l for l in F.labels if l not in dict(pins)]
         assert got == _has_nongamma_value(F, atoms, dict(pins), capped_labels, k, gamma)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcouple.element import ZERO, GammaElement, parse_element, psi_point
+from logcouple.element import INF, ZERO, GammaElement, parse_element, psi_point
 from logcouple.psifun import (
     Atom,
     ConstrainedImage,
@@ -145,6 +145,17 @@ class TestMember:
         assert member(psi_point(3) + el("[0, 0, 0, 0, 1/7]"), rep)
         assert not member(psi_point(3) + el("[0, 1/7]"), rep)
         assert member(psi_point(6), rep)  # deep staircase points collapse at depth 4
+
+    def test_thickened_contains_inf(self):
+        # inf is in no thickened small set: at each thickening, over a
+        # nonempty, an empty constrained and an empty core
+        impossible = ConstrainedImage(
+            parse_linear("x0 - x1"),
+            (Atom("diff_le", i=0, j=1, c=-1), Atom("diff_le", i=1, j=0, c=-1)),
+        )
+        for core in ([parse_linear("x0")], [fig2_set()], [impossible], []):
+            for phi in (Phi(1), Phi(3), PHI_INF):
+                assert ThickenedSmall(core, phi).contains(INF) is False, (core, phi)
 
     def test_thickened_member_matches_project_set(self):
         # contains tests membership on integer numerators; the oracle is the
