@@ -635,26 +635,31 @@ def _capped_sweep(
     and the target are scaled once, and states hash and add as integers.
     A target coordinate outside (1/D)Z matches no state.
 
-    Without atoms the pins are not kept, so chains that agree on the
-    prefix and on the open mask merge, and the cost follows the number of
-    distinct vectors instead of k^|I|.  With atoms a chain is dropped as
-    soon as the difference system with n_i >= c + 1 on its open labels
-    and its pins fixed is unsatisfiable.  That is sound, since every
-    completion only tightens those bounds, and at c = k - 1 it is exactly
-    the satisfiability of the full capped profile.  With ``target`` only
-    chains whose prefix agrees with its first k coordinates are kept.
+    Every child (the parent's chain with A_c = sub) passes two independent
+    tests.  With ``target``, its value must equal the target's coordinate
+    c, so only chains whose prefix agrees with the target's first k
+    coordinates are kept.  With atoms, the difference system with
+    n_i >= c + 1 on its open labels and its pins fixed must be
+    satisfiable.  That is sound, since every completion only tightens
+    those bounds, and at c = k - 1 it is exactly the satisfiability of
+    the full capped profile.  Without atoms the pins are not kept, so
+    chains that agree on the prefix and on the open mask merge, and the
+    cost follows the number of distinct vectors instead of k^|I|.
 
-    With atoms and no target, the test is asked once per residual system,
-    the clock-region argument of Alur and Dill ("A theory of timed
-    automata", TCS 126, 1994).  Let C be the largest of 0 and the
-    constants of the ``ge``/``le`` atoms, and W the largest of 0 and the
-    |constants| of the ``diff_le``/``diff_eq`` atoms.  A parent state at
-    step c, with open mask A and old pins p_l < c, has the signature
-    (min(c, C + 1), A, the pairs (l, min(c - p_l, W + 2)) over the old
-    pins l that share a difference edge with a label of A).  The first
-    parent with a signature asks ``solve_min`` about each sub ⊆ A, and
-    the subs it keeps are memoized under that signature for every later
-    parent with it.  Two parents with one signature keep the same subs:
+    The feasibility test is asked once per residual system, the
+    clock-region argument of Alur and Dill ("A theory of timed automata",
+    TCS 126, 1994).  Let C be the largest of 0 and the constants of the
+    ``ge``/``le`` atoms, and W the largest of 0 and the |constants| of the
+    ``diff_le``/``diff_eq`` atoms.  A parent state at step c, with open
+    mask A and old pins p_l < c, has the signature (min(c, C + 1), A, the
+    pairs (l, min(c - p_l, W + 2)) over the old pins l that share a
+    difference edge with a label of A).  The answer for a sub ⊆ A is
+    memoized under the signature and the sub, computed the first time a
+    parent with that signature asks about that sub.  A target does not
+    touch the argument below: it filters children by value, the memo
+    answers only feasibility, which never reads the target, and a
+    targeted sweep merely asks about fewer subs.  Two parents with one
+    signature get the same answer for every sub:
 
     1. The parent is feasible, so every edge between old pins, and every
        bound on one, already holds; a pin is a fixed value, so an edge
@@ -682,64 +687,45 @@ def _capped_sweep(
     if target is not None:
         d, nums = target.prefix_numerators(k)
         want = [None if c * D % d else c * D // d for c in nums]
-
-    def keep(c: int, value: int, open_mask: int, pins) -> bool:
-        if want is not None and value != want[c]:
-            return False
-        if not atoms:
-            return True
-        lower = {labels[i]: c + 1 for i in range(n) if open_mask >> i & 1}
-        lower.update(pins)
-        return solve_min(labels, atoms, lower=lower, upper=dict(pins)) is not None
-
-    clocked = bool(atoms) and want is None
-    if clocked:
-        memo: Dict[tuple, List[int]] = {}  # signature -> the subs kept under it
-        C = W = 0
-        near = dict.fromkeys(labels, 0)  # label -> a bit per label it shares a difference edge with
-        for a in atoms:
-            if a.j is None:
-                C = max(C, a.c)
-            else:
-                W = max(W, abs(a.c))
-                near[a.i] |= 1 << a.j
-                near[a.j] |= 1 << a.i
+    memo: Dict[tuple, Dict[int, bool]] = {}  # signature -> {sub: whether its system is satisfiable}
+    C = W = 0
+    near = dict.fromkeys(labels, 0)  # label -> a bit per label it shares a difference edge with
+    for a in atoms:
+        if a.j is None:
+            C = max(C, a.c)
+        else:
+            W = max(W, abs(a.c))
+            near[a.i] |= 1 << a.j
+            near[a.j] |= 1 << a.i
 
     full = (1 << n) - 1
-    value = offset[0] + msum[full]  # A_0 = I, as every n_i >= 1
-    states = {((value,), full, ())} if keep(0, value, full, ()) else set()
-    yield states
-    for c in range(1, k):
+    states = {((), full, ())}  # the empty chain, before coordinate 0
+    for c in range(k):
         grown = set()
         for prefix, open_mask, pins in states:
-            if clocked:
+            if atoms:
                 reach = 0
                 for i, l in enumerate(labels):
                     if open_mask >> i & 1:
                         reach |= near[l]
                 ages = tuple((l, min(c - p, W + 2)) for l, p in pins if reach >> l & 1)
-                signature = (min(c, C + 1), open_mask, ages)
-                kept = memo.get(signature)
-                if kept is not None:
-                    for sub in kept:
-                        left = open_mask ^ sub
-                        pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
-                        grown.add((prefix + (offset[c] + msum[sub],), sub, pinned))
-                    continue
-                kept = memo[signature] = []
+                feasible = memo.setdefault((min(c, C + 1), open_mask, ages), {})
             sub = open_mask
             while True:
                 value = offset[c] + msum[sub]
-                if atoms:
-                    left = open_mask ^ sub
-                    pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
-                    if keep(c, value, sub, pinned):
-                        grown.add((prefix + (value,), sub, pinned))
-                        if clocked:
-                            kept.append(sub)
-                elif want is None or value == want[c]:
-                    grown.add((prefix + (value,), sub, pins))
-                if sub == 0:
+                if want is None or value == want[c]:
+                    if not atoms:
+                        grown.add((prefix + (value,), sub, pins))
+                    elif (ok := feasible.get(sub)) is not False:
+                        left = open_mask ^ sub
+                        pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
+                        if ok is None:
+                            lower = dict.fromkeys(labels, c + 1)  # every label not pinned is in sub
+                            lower.update(pinned)
+                            ok = feasible[sub] = solve_min(labels, atoms, lower=lower, upper=dict(pinned)) is not None
+                        if ok:
+                            grown.add((prefix + (value,), sub, pinned))
+                if sub == 0 or c == 0:  # A_0 = I, as every n_i >= 1
                     break
                 sub = (sub - 1) & open_mask
         states = grown
@@ -838,7 +824,14 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     A point that matches gamma on the first K coordinates matches it on
     every shorter prefix, so only depth K is asked.  The sweeps of
     ``_last_layer`` target gamma, so a chain is cut at the first coordinate
-    that leaves it, and the probe is False at the first empty layer."""
+    that leaves it, and the probe is False at the first empty layer.
+    Their feasibility answers are memoized per clock signature
+    (``_capped_sweep``), and there are finitely many signatures once the
+    step passes the largest ``ge``/``le`` constant and the pin ages pass
+    the largest difference constant.  So the sweep's ``solve_min`` calls
+    no longer grow with K once those caps are reached (7 for ``fig2_set()``
+    toward 0 at K = 10 and at K = 60); what still grows is one pass over
+    the surviving states per coordinate."""
     if K < 1:
         raise ValueError("probe depth must be >= 1")
     if not isinstance(gamma, GammaElement):
@@ -974,8 +967,12 @@ _SAMPLE_ROUNDS = 24
 
 
 def sample_points(X, count: int) -> List[GammaElement]:
-    """A deterministic sample of distinct points of X, enumerated by
-    increasing index budget (at most ``_SAMPLE_ROUNDS``)."""
+    """A deterministic sample of at most count distinct points of X,
+    enumerated by increasing index budget (at most ``_SAMPLE_ROUNDS``)."""
+    if count < 0:
+        raise ValueError(f"sample size must be >= 0, got {count}")
+    if count == 0:
+        return []
     # an empty constrained component yields no point in any round
     parts = [
         (F, atoms) for F, atoms in _component_parts(X) if not atoms or solve_min(F.labels, atoms) is not None

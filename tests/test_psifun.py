@@ -619,6 +619,10 @@ class TestConstrained:
         start = time.perf_counter()
         assert sample_points([C], 5) == []
         assert time.perf_counter() - start < 0.1
+        # a sample of no point is empty, and a negative size is refused
+        assert sample_points([fn("x0 - x1")], 0) == [] and sample_points([C], 0) == []
+        with pytest.raises(ValueError, match="sample size must be >= 0"):
+            sample_points([fn("x0 - x1")], -3)
 
     def test_repr_prints_atoms(self):
         C = ConstrainedImage(
@@ -866,6 +870,26 @@ class TestProbe:
             calls.clear()
             assert limit_point_probe(gamma, X, 8) is False
             assert calls == [], (X, gamma, calls)
+
+    def test_targeted_sweep_asks_the_same_at_every_depth(self, monkeypatch):
+        # the clock-signature memo serves the targeted sweep too: past the
+        # caps on the step and on the pin ages, a deeper sweep asks
+        # solve_min nothing new
+        calls = []
+        solve = psifun.solve_min
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(psifun, "solve_min", counting)
+        for gamma in (ZERO, unit(1), unit(6)):
+            asked = []
+            for K in (20, 60):
+                calls.clear()
+                assert any(_last_layer(fig2_set(), K, gamma)[2])
+                asked.append(len(calls))
+            assert asked[0] == asked[1] > 0, (gamma, asked)
 
     @staticmethod
     def _check_state(F, atoms, pins, k, gamma):

@@ -32,6 +32,7 @@ from logcouple.quotient import (
     project,
     project_set,
 )
+from logcouple.sets import ThickenedSmall
 from test_psifun import random_atoms
 
 
@@ -257,7 +258,8 @@ class TestProjectSet:
         # ages capped at W + 2 and the step at C + 1; constants up to 5 and
         # depths up to 12 reach ages past both caps, and the second
         # component has the first one's map, so the two share vectors
-        rng = random.Random(61)
+        rng, moves = random.Random(61), random.Random(62)
+        kept = [0, 0]  # perturbed points outside and inside the thickened set
         for _ in range(120):
             arity = rng.randint(1, 3)
             F = PsiFunction({i: rng.choice([-2, -1, 1, 2]) for i in range(arity)})
@@ -271,6 +273,21 @@ class TestProjectSet:
             assert count_function(X, range(1, k + 1)) == [
                 (j, len({v[:j] for v in want})) for j in range(1, k + 1)
             ], (X, k)
+            # the targeted sweep shares the memo: a point is in the thickened
+            # set at s^k iff its first k coordinates are a vector of want,
+            # whatever follows them
+            thick = ThickenedSmall(X, Phi(k))
+            assert all(thick.contains(GammaElement(enumerate(v))) for v in want), (X, k)
+            tail = GammaElement([(k, Fraction(1, 3)), (k + 2, Fraction(-1))])
+            for v in moves.sample(sorted(want), min(len(want), 4)):
+                point = GammaElement(enumerate(v)) + tail
+                assert thick.contains(point), (X, k, v)
+                for step in (Fraction(1), Fraction(-1), Fraction(1, 2)):
+                    moved = point + GammaElement([(moves.randrange(k), step)])
+                    inside = thick.contains(moved)
+                    assert inside == (moved.truncate(k) in want), (X, k, moved)
+                    kept[inside] += 1
+        assert min(kept) > 40, kept
 
 
 # no index satisfies n_0 <= 0, so this component adds no vector to a union,
