@@ -214,7 +214,7 @@ def _cmd_count(args):
         else:
             poly = " + ".join(
                 f"{c}*k^{i}" if i else str(c) for i, c in enumerate(coeffs) if c
-            )
+            ) or "0"  # the zero polynomial: every count is 0
             lines.append(f"# conjectural fit: {poly}")
             payload["fit"] = {"coefficients": [str(c) for c in coeffs], "conjectural": True}
     return payload, lines

@@ -24,13 +24,19 @@ pairs.  Coordinate n is its numerator over ``den``, and ``items()``,
 The public constructor ``GammaElement(...)`` accepts any (index, value)
 pairs and validates and normalises them.  The private
 ``_element(den, nums)`` wraps a pair that is already canonical and checks
-nothing; only this module and ``PsiFunction.evaluate`` call it, and only
-with numerators derived from canonical ones and reduced by their common
-factor with the denominator (a merge of two sorted tuples over the
-least common multiple of their denominators that drops zero sums, a
-negation, a product with a nonzero rational, the staircase point E_n, a
-staircase of integer running sums that skips zero ones).  Everything
-else goes through the public constructor.
+nothing; only this module calls it, and only with numerators derived from
+canonical ones and reduced by their common factor with the denominator (a
+merge of two sorted tuples over the least common multiple of their
+denominators that drops zero sums, a negation, a product with a nonzero
+rational, the staircase point E_n, and ``staircase_sum``'s runs of integer
+running sums that skip zero ones).  Everything else goes through the
+public constructor.
+
+``staircase_sum`` is the one computation behind every affine map of the
+small-set calculus: ``PsiFunction.evaluate`` is an offset plus
+sum q * E_n, and a generalized s-function is the same sum at shifted
+indices, because s(E_n) = E_{n+1}.  ``staircase_size`` counts the nonzero
+coordinates of that sum from the same walk, without building it.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ __all__ = [
     "psi_point",
     "psi_point_index",
     "is_psi_point",
+    "staircase_sum",
+    "staircase_size",
     "parse_element",
     "format_element",
     "parse_integer",
@@ -376,6 +384,46 @@ def psi_point(n: int) -> GammaElement:
     if n < 1:
         raise ValueError("psi points are E_n with n >= 1")
     return _element(1, _stairs(n))
+
+
+def _staircase_runs(pairs: Iterable[Tuple[int, Rational]]) -> Tuple[int, list]:
+    """(den, runs) for sum q * E_n over the (n, q) pairs: coordinate c lies
+    in one run (lo, hi, t) with lo <= c < hi and is t / den, or is 0.
+
+    Coordinate c is the sum of the q with n > c, so the walk takes the
+    indices downwards and keeps that sum, times the common denominator of
+    the q, as a running integer total; the runs come from the top down,
+    and none is empty or has a zero total."""
+    drops = sorted(pairs, reverse=True)
+    if drops and drops[-1][0] < 1:
+        raise ValueError("psi indices start at 1")
+    den = lcm(*(q.denominator for _, q in drops))
+    runs = []
+    total = top = 0
+    for n, q in drops:
+        if total and n < top:
+            runs.append((n, top, total))
+        total += q.numerator * (den // q.denominator)
+        top = n
+    if total:
+        runs.append((0, top, total))
+    return den, runs
+
+
+def staircase_sum(pairs: Iterable[Tuple[int, Rational]]) -> GammaElement:
+    """sum q * E_n over (index n, rational q) pairs with integer n >= 1 (an
+    index below 1 is a ValueError), built in one walk of the sorted indices
+    (``_staircase_runs``) and one reduction."""
+    den, runs = _staircase_runs(pairs)
+    nums = [(c, t) for lo, hi, t in reversed(runs) for c in range(lo, hi)]
+    return _reduced(den, nums, den)
+
+
+def staircase_size(pairs: Iterable[Tuple[int, Rational]]) -> int:
+    """The number of nonzero coordinates of ``staircase_sum(pairs)``, read
+    off its runs without building it, so its cost does not grow with the
+    indices."""
+    return sum(hi - lo for lo, hi, _ in _staircase_runs(pairs)[1])
 
 
 def psi_point_index(x: GammaExt) -> Optional[int]:

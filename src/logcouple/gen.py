@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 
-def random_rational(rng: random.Random, bound: int = 100, nonzero: bool = True) -> Fraction:
-    lowest = 1 if nonzero else 0
-    num = rng.randint(lowest, bound) * rng.choice([-1, 1])
+def random_rational(rng: random.Random, bound: int = 100) -> Fraction:
+    """A nonzero rational with numerator and denominator up to bound."""
+    num = rng.randint(1, bound) * rng.choice([-1, 1])
     return Fraction(num, rng.randint(1, bound))
 
 
@@ -61,14 +61,14 @@ def random_psi_function(
     min_arity: int = 0,
     max_arity: int = 3,
     coeff_bound: int = 9,
-    offset_support: int = 4,
-    offset_bound: int = 9,
     zero_sum_bias: float = 0.0,
 ) -> PsiFunction:
     """A random affine map.  With probability zero_sum_bias (and arity >= 2)
     one coefficient is chosen to cancel a random subset of the others, so the
     image has limit points; otherwise random rational coefficients almost
-    never admit a zero-sum subset and the derived set is empty."""
+    never admit a zero-sum subset and the derived set is empty.  The offset
+    lives on the first four coordinates, with numerators and denominators
+    up to 9."""
     arity = rng.randint(min_arity, max_arity)
     coeffs = {
         label: random_rational(rng, coeff_bound) for label in range(arity)
@@ -78,23 +78,18 @@ def random_psi_function(
         total = sum(coeffs[l] for l in subset)
         if total:
             coeffs[arity - 1] = -total
-    size = rng.randint(0, offset_support)
-    offset = GammaElement(
-        (i, random_rational(rng, offset_bound))
-        for i in rng.sample(range(offset_support), size)
-    )
+    size = rng.randint(0, 4)
+    offset = GammaElement((i, random_rational(rng, 9)) for i in rng.sample(range(4), size))
     return PsiFunction(coeffs, offset)
 
 
-def random_constraints(
-    rng: random.Random, labels: Sequence[int], max_atoms: int = 3
-) -> Tuple[Atom, ...]:
-    """A short conjunction of difference constraints with unit offsets, so
-    least solutions stay within small index windows."""
+def random_constraints(rng: random.Random, labels: Sequence[int]) -> Tuple[Atom, ...]:
+    """A conjunction of at most three difference constraints with unit
+    offsets, so least solutions stay within small index windows."""
     if len(labels) < 1:
         return ()
     atoms: List[Atom] = []
-    for _ in range(rng.randint(0, max_atoms)):
+    for _ in range(rng.randint(0, 3)):
         kind = rng.choice(["diff_le", "diff_eq", "ge"] if len(labels) > 1 else ["ge"])
         if kind == "ge":
             atoms.append(Atom("ge", i=rng.choice(labels), c=rng.randint(1, 2)))
@@ -137,9 +132,10 @@ def _random_thickening(rng: random.Random, at_least: Optional[int] = None) -> Ph
     return Phi(rng.randint(low, 6))
 
 
-def random_unary_rep(rng: random.Random, max_components: int = 3) -> UnaryRep:
+def random_unary_rep(rng: random.Random) -> UnaryRep:
+    """At most three components, each an interval or a thickened image union."""
     comps = []
-    for _ in range(rng.randint(0, max_components)):
+    for _ in range(rng.randint(0, 3)):
         if rng.random() < 0.5:
             comps.append(_random_interval(rng))
         else:
@@ -150,12 +146,12 @@ def random_unary_rep(rng: random.Random, max_components: int = 3) -> UnaryRep:
     return UnaryRep(comps)
 
 
-def random_small_unary_rep(rng: random.Random, phi: Phi, max_components: int = 2) -> UnaryRep:
-    """A representation that is small at scale phi by construction:
-    thickenings at least as coarse as phi and intervals narrower than its
-    subgroup."""
+def random_small_unary_rep(rng: random.Random, phi: Phi) -> UnaryRep:
+    """A representation of one or two components that is small at scale phi
+    by construction: thickenings at least as coarse as phi and intervals
+    narrower than its subgroup."""
     comps = []
-    for _ in range(rng.randint(1, max_components)):
+    for _ in range(rng.randint(1, 2)):
         if phi.is_finite and rng.random() < 0.3:
             lo = random_element(rng, bound=9)
             gap = random_positive_element(rng, max_support=2, bound=9)

@@ -34,7 +34,6 @@ from .element import (
     GammaElement,
     INF,
     ZERO,
-    _element,
     _rational,
     format_element,
     format_rational,
@@ -43,6 +42,8 @@ from .element import (
     parse_rational,
     psi_point,
     psi_point_index,
+    staircase_size,
+    staircase_sum,
 )
 
 __all__ = [
@@ -152,23 +153,7 @@ class PsiFunction:
             if n < 1:
                 raise ValueError("psi indices start at 1")
             drops.append((operator.index(n), q))  # a non-integer index fails at its own label
-        # Coordinate c of sum q_l E_{n_l} is the sum of the q_l with n_l > c:
-        # walk the indices downwards, keeping that sum, times the common
-        # denominator of the q_l, as a running integer total.
-        drops.sort(reverse=True)
-        den = math.lcm(*(q.denominator for _, q in drops))
-        nums = []
-        total = top = 0
-        for n, q in drops:
-            if total:
-                nums.extend((c, total) for c in range(top - 1, n - 1, -1))
-            total += q.numerator * (den // q.denominator)
-            top = n
-        if total:
-            nums.extend((c, total) for c in range(top - 1, -1, -1))
-        nums.reverse()
-        g = math.gcd(den, *(c for _, c in nums))
-        return self.offset + _element(den // g, tuple((c, t // g) for c, t in nums))
+        return self.offset + staircase_sum(drops)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PsiFunction):
@@ -894,12 +879,14 @@ def recover(evals: Iterable[Tuple[Sequence[int], GammaElement]]) -> PsiFunction:
     offset = base_val - psi_point(1) * sum(coeffs.values())
     F = PsiFunction(coeffs, offset)
     # The probes first, so that a bad probe is reported before any extra
-    # evaluation, and at each key an index below 1 before the value.  F is
-    # built at a key only when sum q_l E_{n_l} has as many nonzero
-    # coordinates as value - offset, so its cost is bounded by the input,
-    # however large the key's indices.
+    # evaluation, and at each key an index below 1 (at any label, whatever
+    # its coefficient) before the value.  F is built at a key only when
+    # sum q_l E_{n_l} has as many nonzero coordinates as value - offset, so
+    # its cost is bounded by the input, however large the key's indices.
     for key in sorted(table, key=lambda key: key not in probes):
-        value, size = table[key], _staircase_size(coeffs, key)
+        if any(n < 1 for n in key):
+            raise ValueError("psi indices start at 1")
+        value, size = table[key], staircase_size((key[l], q) for l, q in coeffs.items())
         if (
             not isinstance(value, GammaElement)
             or size != len((value - offset).items())
@@ -907,21 +894,6 @@ def recover(evals: Iterable[Tuple[Sequence[int], GammaElement]]) -> PsiFunction:
         ):
             raise ValueError("inconsistent evaluations")
     return F
-
-
-def _staircase_size(coeffs: Mapping[int, Fraction], key: Sequence[int]) -> int:
-    """The number of nonzero coordinates of sum q_l E_{n_l}, q_l = coeffs[l]
-    and n_l = key[l], read off the runs of equal coordinates between the
-    sorted indices as in ``PsiFunction.evaluate``."""
-    drops = sorted(((key[l], q) for l, q in coeffs.items()), reverse=True)
-    if any(n < 1 for n, _ in drops):
-        raise ValueError("psi indices start at 1")
-    size, total, top = 0, 0, 0
-    for n, q in drops:
-        if total:
-            size += top - n
-        total, top = total + q, n
-    return size + top if total else size
 
 
 # -- equilateral sets ----------------------------------------------------------

@@ -33,8 +33,8 @@ from .element import (
     parse_rational,
     pred,
     psi,
-    psi_point,
     psi_point_index,
+    staircase_sum,
     succ,
 )
 from .psifun import PsiFunction
@@ -408,34 +408,28 @@ class GenSFunction:
         )
 
 
-def _shift(x: GammaExt, k: int) -> GammaExt:
-    for _ in range(k):
-        x = succ(x)
-    for _ in range(-k):
-        x = pred(x)
-    return x
-
-
 def eval_gensfun(F: GenSFunction, args: Sequence) -> GammaExt:
-    """Evaluate at a tuple of psi points; any predecessor falling off the
-    psi set makes the whole value inf."""
+    """Evaluate at a tuple of psi points (or their indices).  Since
+    s(E_n) = E_{n+1}, the value is the offset plus the staircase sum of the
+    nonzero terms at the indices n_i + k; a predecessor falling off the psi
+    set (an index below 1) makes the whole value inf."""
     if len(args) != F.arity:
         raise ValueError(f"expected {F.arity} arguments, got {len(args)}")
-    points: List[GammaElement] = []
+    indices: List[int] = []
     for a in args:
         if isinstance(a, GammaElement):
-            if psi_point_index(a) is None:
+            n = psi_point_index(a)
+            if n is None:
                 raise ValueError("arguments must be psi points")
-            points.append(a)
         else:
-            points.append(psi_point(operator.index(a)))
-    total: GammaExt = F.offset
-    for i, k, q in F.terms:
-        if not q:
-            continue
-        shifted = _shift(points[i], k)
-        total = total + shifted * q
-    return total
+            n = operator.index(a)
+            if n < 1:
+                raise ValueError("psi points are E_n with n >= 1")
+        indices.append(n)
+    drops = [(indices[i] + k, q) for i, k, q in F.terms if q]
+    if F.offset is INF or any(n < 1 for n, _ in drops):
+        return INF
+    return F.offset + staircase_sum(drops)
 
 
 def gensfun_cover(F: GenSFunction) -> PsiFunction:

@@ -135,6 +135,14 @@ class TestImageVerbs:
         assert data["fit"]["conjectural"] is True
         assert data["fit"]["coefficients"] == ["1", "-1/2", "1/2"]
 
+    def test_count_fit_of_zero_counts(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"  # n0 <= 0 has no solution n0 >= 1
+        path.write_text(json.dumps({"coeffs": {"x0": "1"}, "constraints": [{"kind": "le", "i": 0, "c": 0}]}))
+        code, out = run(capsys, "count", "--file", str(path), "--k", "1..4", "--fit")
+        assert code == 0 and out.splitlines()[-2:] == ["4\t0", "# conjectural fit: 0"]
+        code, out = run(capsys, "count", "--file", str(path), "--k", "1..4", "--fit", "--json")
+        assert code == 0 and json.loads(out)["fit"] == {"coefficients": ["0"], "conjectural": True}
+
     def test_project_set(self, capsys, fig2_file):
         code, out = run(capsys, "project-set", "--file", fig2_file, "--k", "2")
         assert code == 0 and set(out.strip().splitlines()) == {"(0,0)", "(0,1)"}
@@ -283,6 +291,23 @@ BAD_INPUTS = {
     },
     "unary-no-factor.json": {"arity": 1, "products": [[]]},
     "value-inf.json": {"evals": [{"args": [1], "value": "inf"}, {"args": [2], "value": "[1]"}]},
+    # the probes of x0, where x1 has coefficient 0, and an extra key with an index below 1
+    **{
+        f"index-{name}.json": {
+            "evals": [
+                {"args": [1, 1], "value": "[1]"},
+                {"args": [2, 1], "value": "[1, 1]"},
+                {"args": [1, 2], "value": "[1]"},
+                {"args": args, "value": value},
+            ]
+        }
+        for name, args, value in (
+            ("zero-at-x1", [1, 0], "[1]"),
+            ("negative-at-x1", [1, -7], "[1]"),
+            ("zero-at-x0", [0, 1], "[1]"),
+            ("zero-at-x1-wrong-value", [1, 0], "[5]"),
+        )
+    },
     "binary-rep.json": {
         "arity": 2,
         "products": [
@@ -365,6 +390,10 @@ class TestInputErrors:
             (["crosscheck", "--rep", "binary-rep.json", "--phi", "s^3"], "crosscheck takes a unary representation"),
             (["witness", "inf"], "needs a positive group element"),
             (["clique", "--phi", "inf", "--point", "[1]"], "clique needs a finite scale value"),
+            (["recover", "--file", "index-zero-at-x1.json"], "psi indices start at 1"),
+            (["recover", "--file", "index-negative-at-x1.json"], "psi indices start at 1"),
+            (["recover", "--file", "index-zero-at-x0.json"], "psi indices start at 1"),
+            (["recover", "--file", "index-zero-at-x1-wrong-value.json"], "psi indices start at 1"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

@@ -27,6 +27,8 @@ from logcouple.element import (
     psi_precedes,
     rv_equiv,
     small_diff_witness,
+    staircase_size,
+    staircase_sum,
     succ,
     unit,
 )
@@ -478,6 +480,50 @@ class TestAgainstDictModel:
                 ones = next(n for n in range(9) if dx.get(n) != 1)
                 assert succ(x) == psi_point(ones + 1)
             self.check(pairs)
+
+
+class TestStaircase:
+    """``staircase_sum`` against the model sum of the staircase dicts
+    {0: 1, ..., n - 1: 1}, and ``staircase_size`` against its items."""
+
+    def test_against_dict_model(self):
+        rng = random.Random(20)
+        dens = (1, 2, 3, 4, 6, 9, 10, 12, 35)
+        pairs, sizes = [], []
+        for _ in range(300):
+            drops = []
+            for _ in range(rng.randint(0, 6)):
+                n = rng.choice((1, 1, 2, rng.randint(1, 9), rng.randint(1, 70)))
+                q = Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice(dens))
+                drops.append((n, q))
+                if rng.random() < 0.3:  # a duplicate index
+                    drops.append((n, Fraction(rng.randint(-4, 4), rng.choice(dens))))
+                if rng.random() < 0.2:  # a zero-sum group at one index
+                    drops.append((n, -q))
+            rng.shuffle(drops)
+            x = staircase_sum(drops)
+            pairs.append((x, model_sum(*((q, dict.fromkeys(range(n), 1)) for n, q in drops))))
+            sizes.append((staircase_size(drops), len(x.items())))
+        assert all(size == items for size, items in sizes)
+        assert sum(not x.is_zero for x, _ in pairs) > 200 and sum(x.is_zero for x, _ in pairs) > 10
+        TestAgainstDictModel().check(pairs[:60])
+        for x, d in pairs[60:]:
+            assert x.items() == tuple(sorted(d.items())) and x == GammaElement(d)
+
+    def test_examples(self):
+        assert staircase_sum([]) == ZERO and staircase_size([]) == 0
+        assert staircase_sum([(3, 1)]) == psi_point(3)
+        assert staircase_sum([(1, Fraction(1, 2)), (1, Fraction(1, 2))]) == psi_point(1)
+        assert staircase_sum([(4, 2), (2, -2)]) == el("[0, 0, 2, 2]")
+        assert staircase_sum([(2, 1), (2, -1), (1, 0)]) == ZERO
+        with pytest.raises(ValueError, match="psi indices start at 1"):
+            staircase_sum([(2, 1), (0, 1)])
+
+    def test_size_does_not_build_the_sum(self):
+        # about 10^9 coordinates each if built
+        assert staircase_size([(10**9, 1)]) == 10**9
+        assert staircase_size([(10**9, 2), (10**9 - 1, -2)]) == 1
+        assert staircase_size([(10**9, 2), (10**9, -2), (3, 1)]) == 3
 
 
 class TestPsi:

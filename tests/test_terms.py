@@ -274,6 +274,59 @@ class TestGenSFunction:
             eval_gensfun(F, [2.7])
         assert eval_gensfun(F, [2]) == psi_point(2)
 
+    def test_eval_matches_the_succ_pred_chain(self):
+        def chained(F, args):
+            # the definition: s^k(E_n) by k successors, or -k predecessors
+            # (inf once one falls off the psi set), then sum term by term
+            points = [a if isinstance(a, GammaElement) else psi_point(a) for a in args]
+            total = F.offset
+            for i, k, q in F.terms:
+                if q:
+                    x = points[i]
+                    for _ in range(k):
+                        x = succ(x)
+                    for _ in range(-k):
+                        x = pred(x)
+                    total = total + x * q
+            return total
+
+        rng = random.Random(20)
+        values = []
+        for _ in range(400):
+            arity = rng.randint(1, 3)
+            cells = rng.sample([(i, k) for i in range(arity) for k in range(-4, 5)], rng.randint(0, 5))
+            coeffs = (0, 0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+            offset = INF if rng.random() < 0.1 else GammaElement([(rng.randint(0, 5), Fraction(rng.randint(-5, 5), 3))])
+            F = GenSFunction(arity, [(i, k, rng.choice(coeffs)) for i, k in cells], offset)
+            args = [rng.choice((1, 1, 2, 3, 5, 8)) for _ in range(arity)]
+            args = [psi_point(n) if rng.random() < 0.5 else n for n in args]
+            value = eval_gensfun(F, args)
+            assert value == chained(F, args)
+            values.append(value)
+        assert sum(v is INF for v in values) > 40 and sum(v is not INF for v in values) > 200
+        # a zero coefficient whose shift falls off the psi set adds nothing
+        Z = GenSFunction(2, [(0, -5, 0), (1, -1, 0), (0, 1, 2)], el("[0, 1]"))
+        assert eval_gensfun(Z, [1, 1]) == chained(Z, [1, 1]) == el("[2, 3]")
+        assert eval_gensfun(GenSFunction(1, [(0, 0, 1)], INF), [3]) is INF
+        assert eval_gensfun(GenSFunction(1, [(0, -3, 1)]), [3]) is INF
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ([el("[1, 2]"), 1], ValueError, "arguments must be psi points"),
+            ([0, 1], ValueError, "psi points are E_n with n >= 1"),
+            ([1, -2], ValueError, "psi points are E_n with n >= 1"),
+            ([1.5, 1], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([1], ValueError, "expected 2 arguments, got 1"),
+            ([1, 2, 3], ValueError, "expected 2 arguments, got 3"),
+        ],
+    )
+    def test_eval_rejects(self, args, error, message):
+        F = GenSFunction(2, [(0, -3, 1), (1, 0, 0)], INF)  # no argument reaches a term
+        with pytest.raises(error) as info:
+            eval_gensfun(F, args)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_json_round_trip_keeps_zero_entries(self):
         F = GenSFunction(2, [(0, 2, Fraction(1, 3)), (1, 0, 0)], el("[0, 1]"))
         again = GenSFunction.from_json(F.to_json())
