@@ -169,13 +169,16 @@ def _cmd_member(args):
                     {"component": component_to_json(comp), "witness": ordered}
                 )
         else:
+            # built once per component and shared by its families
+            as_json, text = component_to_json(comp), repr(comp)
             for sol in member(gamma, comp):
-                ordered = [sol.as_dict()[l] for l in comp.labels]
+                witness = sol.as_dict()
+                ordered = [witness[l] for l in comp.labels]
                 tag = " (parametric)" if sol.parametric else ""
-                lines.append(f"{comp!r}: {tuple(ordered)}{tag}")
+                lines.append(f"{text}: {tuple(ordered)}{tag}")
                 solutions.append(
                     {
-                        "component": component_to_json(comp),
+                        "component": as_json,
                         "witness": ordered,
                         "parametric": sol.parametric,
                     }

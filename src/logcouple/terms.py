@@ -357,6 +357,8 @@ class GenSFunction:
             seen.add((var, shift))
             normalized.append((var, shift, _rational(coeff, "'coeff' of a term must be an int or a Fraction")))
         self.terms = tuple(sorted(normalized, key=lambda t: (t[0], t[1])))
+        if offset is not INF and not isinstance(offset, GammaElement):
+            raise ValueError(f"'offset' of a generalized s-function must be a group element or inf: {offset!r}")
         self.offset = offset
 
     def __eq__(self, other: object) -> bool:

@@ -118,6 +118,27 @@ class TestImageVerbs:
         code, out = run(capsys, "member", "--gamma", "[1]", "--file", fig2_file)
         assert code == 0 and out.strip() == "no"
 
+    def test_member_output_with_several_families(self, capsys, tmp_path):
+        # the component's JSON and text are built once and shared by its
+        # families; both outputs stay byte for byte what they were
+        path = tmp_path / "union.json"
+        union = [parse_linear("x0-x1+x2-x3"), fig2_set(), parse_linear("x0-x1+[0, 1]")]
+        path.write_text(json.dumps([component_to_json(comp) for comp in union]))
+        four = {"vars": ["x0", "x1", "x2", "x3"], "coeffs": {"x0": "1", "x1": "-1", "x2": "1", "x3": "-1"}, "offset": "[]"}
+        two = {"vars": ["x0", "x1"], "coeffs": {"x0": "1", "x1": "-1"}, "offset": "[0, 1]"}
+        families = [[1, 1, 1, 1], [1, 2, 2, 1], [1, 1, 2, 2]]
+        solutions = [{"component": four, "witness": w, "parametric": True} for w in families]
+        text = "".join(f"x0 - x1 + x2 - x3: {tuple(w)} (parametric)\n" for w in families)
+        for source, extra, extra_text in [
+            (["--union", "x0-x1+x2-x3"], [], ""),
+            (["--file", str(path)], [{"component": two, "witness": [1, 2], "parametric": False}], "x0 - x1 + [0, 1]: (1, 2)\n"),
+        ]:
+            code, out = run(capsys, "member", "--gamma", "[]", *source)
+            assert code == 0 and out == text + extra_text
+            code, out = run(capsys, "member", "--gamma", "[]", *source, "--json")
+            want = {"member": True, "solutions": solutions + extra}
+            assert code == 0 and out == json.dumps(want, indent=2) + "\n"
+
     def test_dset_text_prints_atoms(self, capsys, fig2_file):
         code, out = run(capsys, "dset", "--file", fig2_file)
         assert code == 0 and out.splitlines() == ["{x0 - x1 : n0 - n1 = 1}", "[]"]

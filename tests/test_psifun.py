@@ -874,7 +874,8 @@ class TestProbe:
     def test_targeted_sweep_asks_the_same_at_every_depth(self, monkeypatch):
         # the clock-signature memo serves the targeted sweep too: past the
         # caps on the step and on the pin ages, a deeper sweep asks
-        # solve_min nothing new
+        # solve_min nothing new.  The memo outlives a sweep, so each count
+        # starts from a cleared one, and a warm second sweep asks nothing
         calls = []
         solve = psifun.solve_min
 
@@ -886,10 +887,14 @@ class TestProbe:
         for gamma in (ZERO, unit(1), unit(6)):
             asked = []
             for K in (20, 60):
+                psifun._clock_memo.cache_clear()
                 calls.clear()
                 assert any(_last_layer(fig2_set(), K, gamma)[2])
                 asked.append(len(calls))
             assert asked[0] == asked[1] > 0, (gamma, asked)
+            calls.clear()
+            assert any(_last_layer(fig2_set(), 60, gamma)[2])
+            assert calls == [], (gamma, len(calls))
 
     @staticmethod
     def _check_state(F, atoms, pins, k, gamma):

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
@@ -33,7 +35,7 @@ from logcouple.quotient import (
     project_set,
 )
 from logcouple.sets import ThickenedSmall
-from test_psifun import random_atoms
+from test_psifun import random_atoms, reference_probe_depth
 
 
 def el(text):
@@ -466,6 +468,118 @@ class TestCount:
 
     def test_fit_constant(self):
         assert fit_count_polynomial([(1, 4), (2, 4), (3, 4)]) == (Fraction(4),)
+
+
+def shared_systems(rng, count):
+    """Constraint systems (labels, atoms) in pairs that share their atoms
+    under two label tuples, the second with one label more, and two fixed
+    pairs: labels (0, 3) and (0, 1, 3) with a difference atom, and with
+    bounds alone, on 0 and 3.  Under the two tuples one open mask names
+    other labels."""
+    systems = []
+    for atoms in (Atom("diff_eq", i=0, j=3, c=1),), (Atom("ge", i=0, c=2), Atom("le", i=3, c=2)):
+        systems += [((0, 3), atoms), ((0, 1, 3), atoms)]
+    for _ in range(count):
+        labels = sorted(rng.sample(range(5), rng.randint(1, 2)))
+        atoms = tuple(
+            Atom(a.kind, i=labels[a.i], c=a.c, j=None if a.j is None else labels[a.j])
+            for a in random_atoms(rng, len(labels), most=3, diffs=(-3, 3), bounds=(1, 4))
+        )
+        extra = rng.choice([l for l in range(5) if l not in labels])
+        systems += [(tuple(labels), atoms), (tuple(sorted(labels + [extra])), atoms)]
+    return systems
+
+
+def shared_queries(rng, systems):
+    """Queries of project_set, count_function, ThickenedSmall.contains and
+    limit_point_probe on components over the systems, two maps with their
+    own coefficients and offsets per system, each query with its oracle
+    answer: (call, want)."""
+    queries = []
+    for labels, atoms in systems:
+        for _ in range(2):
+            coeffs = {l: rng.choice([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]) for l in labels}
+            if len(labels) > 1 and rng.random() < 0.6:
+                coeffs[labels[1]] = -coeffs[labels[0]]  # a zero-sum pair, so limit points exist
+            offset = GammaElement({rng.randrange(4): Fraction(rng.randint(-2, 2), rng.choice([1, 3]))})
+            X = [ConstrainedImage(PsiFunction(coeffs, offset), atoms)]
+            k = rng.randint(3, 6)
+            want = capped_profile_oracle(X, k)
+            queries.append((lambda X=X, k=k: set(project_set(X, k)), want))
+            queries.append((
+                lambda X=X, k=k: count_function(X, range(1, k + 1)),
+                [(j, len({v[:j] for v in want})) for j in range(1, k + 1)],
+            ))
+            thick = ThickenedSmall(X, Phi(k))
+            points = [GammaElement(enumerate(v)) for v in sorted(want)[:2]] + [offset]
+            points += [p + GammaElement({rng.randrange(k): Fraction(1, 2)}) for p in points]
+            for point in points:
+                queries.append((lambda thick=thick, point=point: thick.contains(point), point.truncate(k) in want))
+            for gamma in [ZERO] + psifun.sample_points(X, 2) + points[:1]:
+                K = rng.randint(2, 6)
+                queries.append((
+                    lambda gamma=gamma, X=X, K=K: psifun.limit_point_probe(gamma, X, K),
+                    reference_probe_depth(gamma, X, K) is None,
+                ))
+    rng.shuffle(queries)
+    return queries
+
+
+def probe_answers(cases):
+    return [psifun.limit_point_probe(gamma, X, K) for gamma, X, K in cases]
+
+
+class TestSharedClockMemo:
+    def test_shared_answers_match_a_cold_memo_and_the_oracles(self):
+        # one (labels, atoms) serves maps with other coefficients and
+        # offsets, at other depths and targets, interleaved with other
+        # systems; sharing the memo across them changes no answer
+        rng = random.Random(83)
+        queries = shared_queries(rng, shared_systems(rng, 10))
+        psifun._clock_memo.cache_clear()
+        warm = [call() for call, _ in queries]
+        cold = []
+        for call, _ in queries:
+            psifun._clock_memo.cache_clear()
+            cold.append(call())
+        assert warm == cold
+        assert warm == [want for _, want in queries]
+        # the oracles confirm members and limit points, not only misses
+        bools = [got for got in warm if isinstance(got, bool)]
+        assert sum(bools) > 60 and len(bools) - sum(bools) > 60, (sum(bools), len(bools))
+
+    def test_threads_share_one_memo(self):
+        # more threads than cores, switching often, probe from a cleared
+        # memo; a lost or wrong memo entry would change an answer
+        rng = random.Random(89)
+        cases = [(g, fig2_set(), 12) for g in [ZERO] + [GammaElement({i: Fraction(1)}) for i in range(1, 7)]]
+        for labels, atoms in shared_systems(rng, 4):
+            X = [ConstrainedImage(PsiFunction({l: rng.choice([-1, 1, 2]) for l in labels}), atoms), fig2_set()]
+            cases += [(g, X, rng.randint(4, 10)) for g in [ZERO] + psifun.sample_points(X, 3)]
+        psifun._clock_memo.cache_clear()
+        serial = probe_answers(cases)
+        index = list(range(len(cases)))
+        orders = [index, index[::-1], index[1::2] + index[::2], index[::2] + index[1::2]]
+        results = [None] * len(orders)
+
+        def work(t):
+            results[t] = probe_answers([cases[i] for i in orders[t]])
+
+        psifun._clock_memo.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(orders))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, got in zip(orders, results):
+            assert got == [serial[i] for i in order]
+        assert any(serial) and not all(serial)
 
 
 class TestCertificate:

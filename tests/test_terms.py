@@ -268,6 +268,16 @@ class TestGenSFunction:
             GenSFunction(arity, terms)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("offset", [None, 5, "[1]", Fraction(1, 2)])
+    def test_constructor_rejects_offset(self, offset):
+        # only an element or inf is an offset, as from_json makes them
+        for terms in ([], [(0, 0, 1)]):
+            with pytest.raises(ValueError) as info:
+                GenSFunction(1, terms, offset)
+            assert str(info.value) == f"'offset' of a generalized s-function must be a group element or inf: {offset!r}"
+        assert GenSFunction(1, [(0, 0, 1)], INF).offset is INF
+        assert eval_gensfun(GenSFunction(1, [(0, 0, 1)], el("[1]")), [1]) == el("[2]")
+
     def test_eval_rejects_non_integer_index(self):
         F = GenSFunction(1, [(0, 0, 1)])
         with pytest.raises(TypeError):
