@@ -44,6 +44,6 @@ from .psifun import (
 )
 from .quotient import Phi, PHI_INF, count_function, in_delta, project, project_set
 from .sets import Interval, NaryRep, ThickenedSmall, UnaryRep, dim, sst_crosscheck
-from .terms import GenSFunction, eval_gensfun, eval_term, gensfun_cover, local_slope, parse_term
+from .terms import GenSFunction, eval_gensfun, eval_term, gensfun_image, parse_term
 
 __version__ = "0.1.0"

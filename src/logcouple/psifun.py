@@ -196,7 +196,8 @@ _ATOM_KINDS = {
 @dataclass(frozen=True)
 class Atom:
     """One conjunct over index variables: n_i - n_j <= c, n_i - n_j = c,
-    n_i >= c, or n_i <= c.  Only the two ``diff`` kinds take ``j``."""
+    n_i >= c, or n_i <= c, over integers i, j and c (a bool or a float is
+    refused).  Only the two ``diff`` kinds take ``j``."""
 
     kind: str
     i: int
@@ -204,6 +205,10 @@ class Atom:
     j: Optional[int] = None
 
     def __post_init__(self):
+        for key in ("i", "j", "c"):
+            value = getattr(self, key)
+            if key != "j" or value is not None:
+                json_int(value, f"the key {key!r} of a constraint atom must be an integer")
         if not isinstance(self.kind, str) or self.kind not in _ATOM_KINDS:
             raise ValueError(f"unknown atom kind {self.kind!r}")
         if self.kind.startswith("diff") and self.j is None:
@@ -240,12 +245,9 @@ class Atom:
         for key in ("kind", "i", "c"):
             if key not in obj:
                 raise ValueError(f"a constraint atom is missing the key {key!r}")
-        fields = {
-            key: json_int(obj[key], f"the key {key!r} of a constraint atom must be an integer")
-            for key in ("i", "j", "c")
-            if key in obj
-        }
-        return Atom(kind=obj["kind"], **fields)
+        if obj.get("j", 0) is None:  # an explicit null is not an absent 'j'
+            raise ValueError("the key 'j' of a constraint atom must be an integer: None")
+        return Atom(kind=obj["kind"], **{key: obj[key] for key in ("i", "j", "c") if key in obj})
 
 
 def satisfies(assignment: Mapping[int, int], atoms: Iterable[Atom]) -> bool:
@@ -1092,14 +1094,11 @@ def parse_linear(text: str):
 
 def fig2_set() -> ConstrainedImage:
     """The worked example: (s x - x) + (s y - y) over x < y in the psi set,
-    presented as x0 - x1 + x2 - x3 with x0 = s x1, x2 = s x3, x1 < x3."""
-    F = PsiFunction({0: 1, 1: -1, 2: 1, 3: -1})
-    atoms = (
-        Atom("diff_eq", i=0, j=1, c=1),
-        Atom("diff_eq", i=2, j=3, c=1),
-        Atom("diff_le", i=1, j=3, c=-1),
-    )
-    return ConstrainedImage(F, atoms)
+    compiled by ``terms.gensfun_image`` to x0 - x1 + x2 - x3 with
+    n0 - n1 = 1, n2 - n3 = 1 and n1 - n3 <= -1."""
+    from .terms import GenSFunction, gensfun_image  # terms imports this module
+
+    return gensfun_image(GenSFunction(2, [(0, 1, 1), (0, 0, -1), (1, 1, 1), (1, 0, -1)]), order=[(0, 1)])
 
 
 def psifunction_to_json(F: PsiFunction) -> dict:

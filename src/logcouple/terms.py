@@ -7,7 +7,7 @@ definable from s, and the evaluator keeps int(t) == t - s(t) exact.
 
 Generalized s-functions (rational combinations of shifted arguments
 s^k(alpha_i) plus an offset, with negative shifts read as predecessors)
-live here too, together with their covering by affine maps.
+live here too, together with their exact images as constrained images.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .element import (
     staircase_sum,
     succ,
 )
-from .psifun import PsiFunction
+from .psifun import Atom, ConstrainedImage, PsiFunction
 
 __all__ = [
     "Var",
@@ -58,9 +58,7 @@ __all__ = [
     "eval_term",
     "GenSFunction",
     "eval_gensfun",
-    "gensfun_cover",
-    "AffineReport",
-    "local_slope",
+    "gensfun_image",
 ]
 
 
@@ -434,97 +432,59 @@ def eval_gensfun(F: GenSFunction, args: Sequence) -> GammaExt:
     return F.offset + staircase_sum(drops)
 
 
-def gensfun_cover(F: GenSFunction) -> PsiFunction:
-    """An affine map whose image contains every finite value of F: one fresh
-    index per nonzero table entry, same offset."""
-    nonzero = [(i, k, q) for i, k, q in F.terms if q]
+def gensfun_image(F: GenSFunction, order: Iterable[Tuple[int, int]] = ()) -> ConstrainedImage:
+    """The exact image of F over tuples of psi points, as one constrained
+    image; each pair (i, j) of ``order`` restricts it to alpha_i < alpha_j.
+
+    Each nonzero term (i, k) gets a label N_(i,k), numbered by variable and,
+    within a variable, by descending shift; its coefficient is the term's.
+    The variable's lowest-shift label is its anchor, with shift k0.  Atoms:
+    N_(i,k) - N_(i,k0) = k - k0 for every other label of the variable, then
+    N_(i,k0) >= 1 + k0 when k0 > 0; then, per pair (i, j), N_(i,k0_i) -
+    N_(j,k0_j) <= k0_i - k0_j - 1.
+
+    Why this is exact.  At alpha_i = E_(n_i), s^k(alpha_i) = E_(n_i + k),
+    so F(n) is finite exactly when every nonzero term has n_i + k >= 1 (the
+    offset is finite here), and then F(n) is the base map at the indices
+    N_(i,k) = n_i + k.  Map n to that N.  A finite value gives indices
+    N >= 1, the range of every PsiFunction label, that satisfy the ties,
+    and N_(i,k0) = n_i + k0 >= 1 + k0.  Conversely, indices N >= 1 that
+    satisfy the atoms give n_i = N_(i,k0) - k0 >= 1 (by the ``ge`` atom when
+    k0 > 0, and as N_(i,k0) >= 1 when k0 <= 0), and the ties give back
+    every N_(i,k) = n_i + k, each >= 1, so F is finite at n.  The two maps
+    are inverse to each other.  Since E_n < E_m exactly when n < m,
+    alpha_i < alpha_j reads n_i - n_j <= -1, which is the order atom once
+    n_i = N_(i,k0_i) - k0_i and n_j = N_(j,k0_j) - k0_j.  So n -> N is a
+    bijection between the argument tuples with a finite value that satisfy
+    the order and the index tuples that satisfy the atoms, where an
+    argument tuple keeps only the variables with a nonzero term (the others
+    change no value), and F(n) is the base map at N.
+
+    An offset of inf (F has no finite value) is refused, as is an order pair
+    that is not two variable indices below the arity or names a variable
+    with no nonzero term, which has no label to bind."""
     if F.offset is INF:
-        # no finite values at all; the empty cover
-        return PsiFunction({}, ZERO)
-    return PsiFunction(
-        {fresh: q for fresh, (_, _, q) in enumerate(nonzero)}, F.offset
-    )
-
-
-# -- local affineness probe -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineReport:
-    slopes: Dict[str, Fraction]
-    value: GammaExt
-
-
-def _ratio(diff: GammaElement, h: GammaElement) -> Optional[Fraction]:
-    # the rational q with diff = q*h, if any
-    if diff.is_zero:
-        return Fraction(0)
-    if diff.leading_index != h.leading_index:
-        return None
-    q = diff.leading_coeff / h.leading_coeff
-    return q if h * q == diff else None
-
-
-def local_slope(
-    t: Term,
-    at: Union[GammaElement, Mapping[str, GammaElement]],
-    radius: GammaElement,
-) -> Optional[AffineReport]:
-    """Probe t for an affine law around a point: evaluate at offsets
-    +-radius/2^i (i = 1..4) in each variable, plus two joint offsets, and
-    report the unique matching slopes and base value, or None.  This
-    falsifies non-affineness on the probe set; it does not prove local
-    affineness."""
-    if not isinstance(radius, GammaElement) or radius <= ZERO:
-        raise ValueError("radius must be a positive group element")
-    names = sorted(free_vars(t))
-    if isinstance(at, GammaElement):
-        if len(names) != 1:
-            raise ValueError("a bare point needs exactly one free variable")
-        env = {names[0]: at}
-    else:
-        env = dict(at)
-        missing = set(names) - set(env)
-        if missing:
-            raise ValueError(f"missing values for {sorted(missing)}")
-    offsets = [radius * Fraction(1, 2**i) for i in range(1, 5)]
-    offsets += [-h for h in offsets]
-    base = eval_term(t, env)
-    evaluations: Dict[Tuple[str, int], GammaExt] = {}
-    any_inf = base is INF
-    all_inf = base is INF
-    for v in names:
-        for idx, h in enumerate(offsets):
-            shifted = dict(env)
-            shifted[v] = env[v] + h
-            val = eval_term(t, shifted)
-            evaluations[(v, idx)] = val
-            any_inf = any_inf or val is INF
-            all_inf = all_inf and val is INF
-    if any_inf:
-        # all_inf: base and every probe are INF (just base when t has no variable)
-        return AffineReport(dict.fromkeys(names, Fraction(0)), INF) if all_inf else None
-    slopes: Dict[str, Fraction] = {}
-    for v in names:
-        q: Optional[Fraction] = None
-        for idx, h in enumerate(offsets):
-            val = evaluations[(v, idx)]
-            ratio = _ratio(val - base, h)
-            if ratio is None:
-                return None
-            if q is None:
-                q = ratio
-            elif q != ratio:
-                return None
-        slopes[v] = q
-    # joint probes: the affine law must predict simultaneous offsets
-    for i in (1, 2):
-        h = radius * Fraction(1, 2**i)
-        shifted = {v: env[v] + h for v in names}
-        shifted.update({k: w for k, w in env.items() if k not in shifted})
-        predicted = base
-        for v in names:
-            predicted = predicted + h * slopes[v]
-        if eval_term(t, shifted) != predicted:
-            return None
-    return AffineReport(slopes, base)
+        raise ValueError("a generalized s-function with offset inf has no finite value")
+    coeffs: Dict[int, Fraction] = {}
+    atoms: List[Atom] = []
+    anchors: Dict[int, Tuple[int, int]] = {}  # variable -> (anchor label, its shift)
+    for var in range(F.arity):
+        row = sorted(((k, q) for i, k, q in F.terms if i == var and q), reverse=True)
+        if not row:
+            continue
+        first = len(coeffs)
+        coeffs.update((first + r, q) for r, (_, q) in enumerate(row))
+        anchor, k0 = len(coeffs) - 1, row[-1][0]
+        anchors[var] = (anchor, k0)
+        atoms += [Atom("diff_eq", i=first + r, j=anchor, c=k - k0) for r, (k, _) in enumerate(row[:-1])]
+        if k0 > 0:
+            atoms.append(Atom("ge", i=anchor, c=1 + k0))
+    for pair in order:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(type(v) is int and 0 <= v < F.arity for v in pair)):
+            raise ValueError(f"an order pair is two variable indices below the arity {F.arity}: {pair!r}")
+        unbound = [v for v in pair if v not in anchors]
+        if unbound:
+            raise ValueError(f"variable {unbound[0]} of the order pair {pair!r} has no nonzero term")
+        (a, ka), (b, kb) = anchors[pair[0]], anchors[pair[1]]
+        atoms.append(Atom("diff_le", i=a, j=b, c=ka - kb - 1))
+    return ConstrainedImage(PsiFunction(coeffs, F.offset), atoms)

@@ -387,6 +387,28 @@ class TestBasics:
         with pytest.raises(ValueError, match="-[0-9]+ is negative"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Atom("le", i=0, c=2.9), "the key 'c' of a constraint atom must be an integer: 2.9"),
+            (lambda: Atom("diff_le", i=0, j=True, c=1), "the key 'j' of a constraint atom must be an integer: True"),
+            (lambda: Atom("ge", i=1.5, c=1), "the key 'i' of a constraint atom must be an integer: 1.5"),
+            (lambda: Atom("le", i=0, c=[2]), "the key 'c' of a constraint atom must be an integer: [2]"),
+            (lambda: Atom("ge", i=None, c=1), "the key 'i' of a constraint atom must be an integer: None"),
+            (
+                lambda: Atom.from_json({"kind": "ge", "i": 0, "j": None, "c": 1}),
+                "the key 'j' of a constraint atom must be an integer: None",
+            ),
+        ],
+        ids=["c-float", "j-bool", "i-float", "c-unhashable", "i-none", "json-j-null"],
+    )
+    def test_atom_fields_are_integers(self, build, message):
+        # a float c would print as n0 <= 2.9 and be written to JSON that no
+        # reader accepts; an unhashable c would fail in the clock memo's key
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_evaluate(self):
         F = fn("2x0 - x1 + [1]")
         assert F.evaluate({0: 1, 1: 2}) == psi_point(1) * 2 - psi_point(2) + el("[1]")

@@ -1,5 +1,6 @@
 """Term language tests: parsing, printing, evaluation, generalized s-functions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,10 +20,18 @@ from logcouple.element import (
     psi_point,
     succ,
 )
-from logcouple.psifun import contains, parse_linear
+from logcouple.psifun import (
+    Atom,
+    ConstrainedImage,
+    PsiFunction,
+    contains,
+    fig2_set,
+    parse_linear,
+    satisfies,
+    solve_min,
+)
 from logcouple.terms import (
     Add,
-    AffineReport,
     Const,
     Delta,
     GenSFunction,
@@ -38,8 +47,7 @@ from logcouple.terms import (
     eval_gensfun,
     eval_term,
     free_vars,
-    gensfun_cover,
-    local_slope,
+    gensfun_image,
     parse_term,
     print_term,
 )
@@ -343,69 +351,98 @@ class TestGenSFunction:
         assert again == F
         assert len(again.terms) == 2
 
-    def test_cover_example(self):
-        F = GenSFunction(1, [(0, 1, 1), (0, 0, -1)])  # s(a) - a
-        G = gensfun_cover(F)
-        assert sorted(G.coeffs.values()) == [Fraction(-1), Fraction(1)]
-        assert G.offset == ZERO
-        val = eval_gensfun(F, [psi_point(3)])
-        assert val == psi_point(4) - psi_point(3)
-        assert contains([G], val)
 
-    def test_cover_constant(self):
-        F = GenSFunction(3, [(0, 0, 0), (1, 2, 0)], el("[2]"))
-        G = gensfun_cover(F)
-        assert G.is_constant and G.offset == el("[2]")
+def _ordered(n, order):
+    return all(n[i] < n[j] for i, j in order)
 
-    def test_cover_contains_finite_values(self):
-        rng = random.Random(11)
-        for _ in range(30):
+
+class TestGensfunImage:
+    def test_fig2_set_is_the_compiled_worked_example(self):
+        # the reference: x0 - x1 + x2 - x3 and its three atoms, typed by hand
+        typed = ConstrainedImage(
+            PsiFunction({0: 1, 1: -1, 2: 1, 3: -1}),
+            (
+                Atom("diff_eq", i=0, j=1, c=1),
+                Atom("diff_eq", i=2, j=3, c=1),
+                Atom("diff_le", i=1, j=3, c=-1),
+            ),
+        )
+        assert fig2_set() == typed and fig2_set().constraints == typed.constraints
+        s_x_minus_x = GenSFunction(2, [(0, 1, 1), (0, 0, -1), (1, 1, 1), (1, 0, -1)])
+        assert gensfun_image(s_x_minus_x, order=[(0, 1)]) == typed
+
+    def test_image_is_exact_both_ways(self):
+        # every finite value over indices 1..6 that keeps the order is in the
+        # image (by member search), and every point of the image over labels
+        # 1..7 is a value over indices 1..11 that keeps the order
+        rng = random.Random(23)
+        coeffs = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+        values = points = ordered = 0
+        for _ in range(300):
             arity = rng.randint(1, 3)
-            terms = []
-            for i in range(arity):
-                for k in sorted(rng.sample(range(-2, 3), rng.randint(0, 2))):
-                    terms.append((i, k, Fraction(rng.randint(-5, 5), rng.randint(1, 5))))
-            F = GenSFunction(arity, terms, GammaElement([(0, Fraction(1, 2))]))
-            G = gensfun_cover(F)
-            # arguments deep enough that no predecessor falls off
-            args = [rng.randint(4, 7) for _ in range(arity)]
-            val = eval_gensfun(F, args)
-            assert val is not INF
-            # reconstruct the witness directly
-            nonzero = [(i, k, q) for i, k, q in F.terms if q]
-            witness = {fresh: args[i] + k for fresh, (i, k, _) in enumerate(nonzero)}
-            assert G.evaluate(witness) == val
-            assert contains([G], val)
+            cells = rng.sample([(i, k) for i in range(arity) for k in range(-2, 3)], rng.randint(1, 4))
+            terms = [(i, k, rng.choice(coeffs)) for i, k in cells]
+            order = [tuple(rng.sample(range(arity), 2))] if arity > 1 and rng.random() < 0.75 else []
+            for i in sum(order, ()):
+                # a variable of an order pair needs a nonzero term to bind
+                if all(q == 0 for v, _, q in terms if v == i):
+                    terms.append((i, rng.choice([k for k in range(-2, 3) if (i, k) not in cells]), 1))
+            ordered += bool(order)
+            offset = GammaElement([(rng.randint(0, 3), Fraction(rng.randint(-3, 3), 2))])
+            F = GenSFunction(arity, terms, offset)
+            X = gensfun_image(F, order)
+            found = set()
+            for n in itertools.product(range(1, 7), repeat=arity):
+                value = eval_gensfun(F, n)
+                if _ordered(n, order) and value is not INF and value not in found:
+                    found.add(value)
+                    assert contains(X, value), (F, order, n)
+            values += len(found)
+            reached = {eval_gensfun(F, n) for n in itertools.product(range(1, 12), repeat=arity) if _ordered(n, order)}
+            labels = X.base.labels
+            for N in itertools.product(range(1, 8), repeat=len(labels)):
+                if satisfies(dict(zip(labels, N)), X.constraints):
+                    assert X.base.evaluate(N) in reached, (F, order, N)
+                    points += 1
+        assert values > 4000 and points > 6000 and ordered > 100
 
+    def test_a_positive_lowest_shift_adds_a_lower_bound(self):
+        X = gensfun_image(GenSFunction(1, [(0, 1, 1)]))  # s(a) is E_n for n >= 2 only
+        assert X.constraints == (Atom("ge", i=0, c=2),)
+        assert not contains(X, psi_point(1)) and contains(X, psi_point(2))
 
-class TestLocalSlope:
-    def test_psi_locally_constant(self):
-        rep = local_slope(parse_term("psi(x)"), el("[1]"), el("[0, 1]"))
-        assert rep == AffineReport({"x": Fraction(0)}, el("[1]"))
+    def test_a_negative_shift_needs_no_atom(self):
+        # a - p(a) is inf at n = 1, so the image starts at n = 2: the labels
+        # (n, n - 1) are >= 1 by themselves
+        F = GenSFunction(1, [(0, 0, 1), (0, -1, -1)])
+        X = gensfun_image(F)
+        assert X.constraints == (Atom("diff_eq", i=0, j=1, c=1),)
+        assert eval_gensfun(F, [1]) is INF
+        assert solve_min(X.base.labels, X.constraints) == {0: 2, 1: 1}
+        assert X.base.evaluate((2, 1)) == eval_gensfun(F, [2])
 
-    def test_globally_affine(self):
-        rep = local_slope(parse_term("x + x"), el("[3]"), el("[1]"))
-        assert rep == AffineReport({"x": Fraction(2)}, el("[6]"))
+    def test_labels_follow_variables_and_descending_shifts(self):
+        # the zero term (1, 1) gets no label; the order constant folds in
+        # both anchor shifts, -1 and 0
+        F = GenSFunction(2, [(0, -1, 2), (0, 2, 1), (1, 1, 0), (1, 3, -1), (1, 0, 5)], el("[1]"))
+        X = gensfun_image(F, [(1, 0)])
+        assert repr(X) == "{x0 + 2 x1 - x2 + 5 x3 + [1] : n0 - n1 = 3, n2 - n3 = 3, n3 - n1 <= 0}"
 
-    def test_succ_locally_constant(self):
-        rep = local_slope(parse_term("s(x)"), el("[1, 1/2]"), el("[0, 0, 1]"))
-        assert rep == AffineReport({"x": Fraction(0)}, succ(el("[1, 1/2]")))
-
-    def test_constant_infinity(self):
-        rep = local_slope(parse_term("p(x)"), el("[2]"), el("[0, 1]"))
-        assert rep == AffineReport({"x": Fraction(0)}, INF)
-
-    def test_not_affine_at_kink(self):
-        # psi jumps across 0: probing x around 0 with a wide radius sees
-        # different values on the two sides
-        rep = local_slope(parse_term("psi(x)"), el("[0, 1]"), el("[1]"))
-        assert rep is None
-
-    def test_two_variables(self):
-        t = parse_term("x + d2(y)")
-        rep = local_slope(t, {"x": el("[1]"), "y": el("[2]")}, el("[0, 1]"))
-        assert rep == AffineReport({"x": Fraction(1), "y": Fraction(1, 2)}, el("[2]"))
-
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            local_slope(parse_term("x"), el("[1]"), ZERO)
+    @pytest.mark.parametrize(
+        "F, order, message",
+        [
+            (GenSFunction(1, [(0, 0, 1)], INF), (), "a generalized s-function with offset inf has no finite value"),
+            (GenSFunction(2, [(0, 0, 1), (1, 1, 0)]), [(0, 1)], "variable 1 of the order pair (0, 1) has no nonzero term"),
+            (GenSFunction(2, [(0, 0, 1), (1, 0, 1)]), [(0, 2)], "an order pair is two variable indices below the arity 2: (0, 2)"),
+            (GenSFunction(2, [(0, 0, 1), (1, 0, 1)]), [(-1, 0)], "an order pair is two variable indices below the arity 2: (-1, 0)"),
+            (GenSFunction(2, [(0, 0, 1), (1, 0, 1)]), [(0,)], "an order pair is two variable indices below the arity 2: (0,)"),
+            (GenSFunction(2, [(0, 0, 1), (1, 0, 1)]), [(0, 1, 1)], "an order pair is two variable indices below the arity 2: (0, 1, 1)"),
+            (GenSFunction(2, [(0, 0, 1), (1, 0, 1)]), [(0, 1.0)], "an order pair is two variable indices below the arity 2: (0, 1.0)"),
+            (GenSFunction(2, [(0, 0, 1), (1, 0, 1)]), [(True, 0)], "an order pair is two variable indices below the arity 2: (True, 0)"),
+            (GenSFunction(2, [(0, 0, 1), (1, 0, 1)]), ["01"], "an order pair is two variable indices below the arity 2: '01'"),
+        ],
+    )
+    def test_refuses(self, F, order, message):
+        with pytest.raises(ValueError) as info:
+            gensfun_image(F, order)
+        assert str(info.value) == message
