@@ -64,6 +64,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "json_int",
+    "psi_argument",
     "compare",
     "psi",
     "integral",
@@ -478,6 +479,19 @@ def json_int(value: object, message: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{message}: {value!r}")
     return value
+
+
+def psi_argument(value: object, message: str) -> int:
+    """n for the psi point E_n or for the JSON integer n, the one reader of
+    "E_n or n" arguments; the bound n >= 1 is the caller's.  An element
+    that is no psi point is ValueError(message), and any other value is
+    read by ``json_int`` with the same message."""
+    if isinstance(value, GammaElement):
+        n = psi_point_index(value)
+        if n is None:
+            raise ValueError(message)
+        return n
+    return json_int(value, message)
 
 
 def _rational(value: object, message: str) -> Fraction:

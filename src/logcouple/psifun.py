@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +41,7 @@ from .element import (
     json_int,
     parse_element,
     parse_rational,
+    psi_argument,
     psi_point,
     psi_point_index,
     staircase_size,
@@ -146,15 +146,10 @@ class PsiFunction:
             assignment = {l: seq[i] for i, (l, _) in enumerate(self._coeffs)}
         drops = []
         for l, q in self._coeffs:
-            n = assignment[l]
-            if isinstance(n, GammaElement):
-                idx = psi_point_index(n)
-                if idx is None:
-                    raise ValueError("arguments must be psi points")
-                n = idx
+            n = psi_argument(assignment[l], "arguments must be psi points")
             if n < 1:
                 raise ValueError("psi indices start at 1")
-            drops.append((operator.index(n), q))  # a non-integer index fails at its own label
+            drops.append((n, q))
         return self.offset + staircase_sum(drops)
 
     def __eq__(self, other: object) -> bool:
@@ -865,7 +860,7 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     set share it: seven probes of ``fig2_set()`` toward 0 and e_1..e_6 at
     K = 30 make 25 ``solve_min`` calls in all, 7 of them from
     ``_holds_other_point``, against 116 with a memo per call."""
-    if K < 1:
+    if json_int(K, "probe depth must be an integer") < 1:
         raise ValueError("probe depth must be >= 1")
     if not isinstance(gamma, GammaElement):
         raise ValueError("the limit-point probe takes a group element")
@@ -893,16 +888,7 @@ def recover(evals: Iterable[Tuple[Sequence[int], GammaElement]]) -> PsiFunction:
     table: Dict[Tuple[int, ...], GammaElement] = {}
     arity = None
     for args, value in evals:
-        key = []
-        for a in args:
-            if isinstance(a, GammaElement):
-                idx = psi_point_index(a)
-                if idx is None:
-                    raise ValueError("probe arguments must be psi points")
-                key.append(idx)
-            else:
-                key.append(json_int(a, "probe arguments must be psi indices"))
-        key = tuple(key)
+        key = tuple(psi_argument(a, "probe arguments must be psi indices") for a in args)
         if arity is None:
             arity = len(key)
         elif len(key) != arity:
@@ -989,7 +975,7 @@ _SAMPLE_ROUNDS = 24
 def sample_points(X, count: int) -> List[GammaElement]:
     """A deterministic sample of at most count distinct points of X,
     enumerated by increasing index budget (at most ``_SAMPLE_ROUNDS``)."""
-    if count < 0:
+    if json_int(count, "sample size must be an integer") < 0:
         raise ValueError(f"sample size must be >= 0, got {count}")
     if count == 0:
         return []

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .element import GammaElement, GammaExt, INF, format_rational, psi_point
+from .element import GammaElement, GammaExt, INF, format_rational, json_int, psi_point
 from .psifun import _last_layer, _scaled, _union_sweep
 
 __all__ = [
@@ -60,7 +60,7 @@ class Phi:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if self.k is not None and self.k < 1:
+        if self.k is not None and json_int(self.k, "a finite scale value s^{k}0 takes an integer k") < 1:
             raise ValueError("finite scale values are s^{k}0 with k >= 1")
 
     @property
@@ -113,7 +113,7 @@ def in_delta(gamma: GammaElement, phi: Phi) -> bool:
 
 def project(gamma: GammaElement, k: int) -> TruncatedVector:
     """Coordinate truncation onto the rational k-space (zeros kept)."""
-    if k < 1:
+    if json_int(k, "projection depth must be an integer") < 1:
         raise ValueError("projection depth must be >= 1")
     return gamma.truncate(k)
 
@@ -173,7 +173,7 @@ def project_set(X, k: int) -> QuotientImage:
     the distinct vectors of the depth-k layer of ``_last_layer`` (a cap
     meaning "at least k"), kept in a ``QuotientImage`` over the sweep's
     denominator D; no Fraction is made until the image is iterated."""
-    if k < 1:
+    if json_int(k, "projection depth must be an integer") < 1:
         raise ValueError("projection depth must be >= 1")
     _, D, layer = _last_layer(X, k)
     return QuotientImage({vec for states in layer for vec, _, _ in states}, D, k)
@@ -186,7 +186,7 @@ def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:
     distinct vectors in it is ``len(project_set(X, k))``.  Only one depth's
     vectors are held at a time, and no Fraction is made."""
     ks = list(ks)
-    if any(k < 1 for k in ks):
+    if any(json_int(k, "projection depth must be an integer") < 1 for k in ks):
         raise ValueError("projection depth must be >= 1")
     if not ks:
         return []

@@ -12,7 +12,6 @@ live here too, together with their exact images as constrained images.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .element import (
     parse_rational,
     pred,
     psi,
-    psi_point_index,
+    psi_argument,
     staircase_sum,
     succ,
 )
@@ -417,14 +416,9 @@ def eval_gensfun(F: GenSFunction, args: Sequence) -> GammaExt:
         raise ValueError(f"expected {F.arity} arguments, got {len(args)}")
     indices: List[int] = []
     for a in args:
-        if isinstance(a, GammaElement):
-            n = psi_point_index(a)
-            if n is None:
-                raise ValueError("arguments must be psi points")
-        else:
-            n = operator.index(a)
-            if n < 1:
-                raise ValueError("psi points are E_n with n >= 1")
+        n = psi_argument(a, "arguments must be psi points")
+        if n < 1:
+            raise ValueError("psi points are E_n with n >= 1")
         indices.append(n)
     drops = [(indices[i] + k, q) for i, k, q in F.terms if q]
     if F.offset is INF or any(n < 1 for n, _ in drops):

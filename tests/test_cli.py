@@ -144,11 +144,13 @@ class TestImageVerbs:
         assert code == 0 and out.splitlines() == ["{x0 - x1 : n0 - n1 = 1}", "[]"]
 
     def test_count_table(self, capsys, fig2_file):
-        code, out = run(capsys, "count", "--file", fig2_file, "--k", "1..5")
-        lines = out.strip().splitlines()
-        assert code == 0
-        assert lines[0] == "k\tcount"
-        assert lines[-1] == "5\t11"
+        # depth 30 reaches the capped ages of the sweep's memo; k^2/2 - k/2 + 1 = 436
+        for k, fit, count in [(5, [], 11), (12, ["--fit"], 67), (30, [], 436)]:
+            code, out = run(capsys, "count", "--file", fig2_file, "--k", f"1..{k}", *fit)
+            lines = out.strip().splitlines()
+            assert code == 0
+            assert lines[0] == "k\tcount"
+            assert lines[k] == f"{k}\t{count}" and len(lines) == k + 1 + len(fit)
 
     def test_count_fit(self, capsys, fig2_file):
         code, out = run(capsys, "count", "--file", fig2_file, "--k", "1..8", "--fit", "--json")
@@ -167,6 +169,8 @@ class TestImageVerbs:
     def test_project_set(self, capsys, fig2_file):
         code, out = run(capsys, "project-set", "--file", fig2_file, "--k", "2")
         assert code == 0 and set(out.strip().splitlines()) == {"(0,0)", "(0,1)"}
+        code, out = run(capsys, "project-set", "--file", fig2_file, "--k", "5")
+        assert code == 0 and len(out.splitlines()) == 11
 
     def test_project_set_output_pinned(self, capsys, tmp_path):
         # two components with denominators 2, 3 and 4 and negative coordinates;
@@ -492,8 +496,9 @@ class TestOtherVerbs:
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
     def test_identities_seeds_differ_but_pass(self, capsys):
-        for seed in (0, 1, 99):
-            assert main(["identities", "--n", "100", "--seed", str(seed)]) == 0
+        # at seed 7 the group arithmetic meets 20,000 elements no other test draws
+        for n, seed in [(100, 0), (100, 1), (100, 99), (20000, 7)]:
+            assert main(["identities", "--n", str(n), "--seed", str(seed)]) == 0
 
 
 class TestOutputPaths:

@@ -454,6 +454,10 @@ class TestBasics:
             F.evaluate((2, 0))
         with pytest.raises(ValueError, match="arguments must be psi points"):
             F.evaluate((el("[1, 2]"), 1))
+        for bad, shown in [(1.5, "1.5"), (True, "True"), ("2", "'2'")]:
+            with pytest.raises(ValueError) as info:
+                F.evaluate((bad, 1))
+            assert str(info.value) == f"arguments must be psi points: {shown}"
         with pytest.raises(ValueError, match="assignment length"):
             F.evaluate((1,))
         with pytest.raises(KeyError):

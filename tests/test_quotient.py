@@ -110,6 +110,32 @@ class TestPhi:
         assert Phi(3).as_element() == psi_point(3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: project_set(fig2_set(), 2.0), "projection depth must be an integer: 2.0"),
+        (lambda: project_set(fig2_set(), True), "projection depth must be an integer: True"),
+        (lambda: project_set(fig2_set(), 0), "projection depth must be >= 1"),
+        (lambda: count_function(fig2_set(), [1.5]), "projection depth must be an integer: 1.5"),
+        (lambda: count_function(fig2_set(), [3, 0]), "projection depth must be >= 1"),
+        (lambda: project(psi_point(3), 2.5), "projection depth must be an integer: 2.5"),
+        (lambda: project(psi_point(3), 0), "projection depth must be >= 1"),
+        (lambda: psifun.limit_point_probe(ZERO, fig2_set(), 1.5), "probe depth must be an integer: 1.5"),
+        (lambda: psifun.limit_point_probe(ZERO, fig2_set(), 0), "probe depth must be >= 1"),
+        (lambda: Phi(1.5), "a finite scale value s^{k}0 takes an integer k: 1.5"),
+        (lambda: Phi("3"), "a finite scale value s^{k}0 takes an integer k: '3'"),
+        (lambda: Phi(0), "finite scale values are s^{k}0 with k >= 1"),
+        (lambda: psifun.sample_points(fig2_set(), 2.5), "sample size must be an integer: 2.5"),
+        (lambda: psifun.sample_points(fig2_set(), -1), "sample size must be >= 0, got -1"),
+    ],
+)
+def test_depths_are_integers(call, message):
+    # each entry point reads its depth or size with json_int before its bound
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestInDelta:
     def test_examples(self):
         assert in_delta(el("[0, 0, 5]"), Phi(2)) is True

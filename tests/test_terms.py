@@ -288,7 +288,7 @@ class TestGenSFunction:
 
     def test_eval_rejects_non_integer_index(self):
         F = GenSFunction(1, [(0, 0, 1)])
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="arguments must be psi points: 2.7"):
             eval_gensfun(F, [2.7])
         assert eval_gensfun(F, [2]) == psi_point(2)
 
@@ -334,9 +334,11 @@ class TestGenSFunction:
             ([el("[1, 2]"), 1], ValueError, "arguments must be psi points"),
             ([0, 1], ValueError, "psi points are E_n with n >= 1"),
             ([1, -2], ValueError, "psi points are E_n with n >= 1"),
-            ([1.5, 1], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([1.5, 1], ValueError, "arguments must be psi points: 1.5"),
             ([1], ValueError, "expected 2 arguments, got 1"),
             ([1, 2, 3], ValueError, "expected 2 arguments, got 3"),
+            ([True, 1], ValueError, "arguments must be psi points: True"),
+            (["2", 1], ValueError, "arguments must be psi points: '2'"),
         ],
     )
     def test_eval_rejects(self, args, error, message):
