@@ -25,6 +25,7 @@ from .element import (
     GammaExt,
     INF,
     format_element,
+    format_rational,
     parse_element,
     parse_integer,
     small_diff_witness,
@@ -198,10 +199,11 @@ def _cmd_project_set(args):
     union = _load_union(args)
     k = _single_k(args)
     vectors = list(project_set(union, k))
-    return (
-        {"k": k, "vectors": [[str(q) for q in v] for v in vectors]},
-        [format_vector(v) for v in vectors],
-    )
+    # the image yields one Fraction per distinct value, which vectors keeps
+    # alive, so each value is formatted once, under its id
+    text: Dict[int, str] = {}
+    rows = [[t if (t := text.get(id(q))) else text.setdefault(id(q), format_rational(q)) for q in v] for v in vectors]
+    return {"k": k, "vectors": rows}, ["(" + ",".join(row) + ")" for row in rows]
 
 
 def _cmd_count(args):

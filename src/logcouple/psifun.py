@@ -146,6 +146,8 @@ class PsiFunction:
             assignment = {l: seq[i] for i, (l, _) in enumerate(self._coeffs)}
         drops = []
         for l, q in self._coeffs:
+            if l not in assignment:
+                raise ValueError(f"the assignment gives no index for x{l}")
             n = psi_argument(assignment[l], "arguments must be psi points")
             if n < 1:
                 raise ValueError("psi indices start at 1")
@@ -413,7 +415,7 @@ def derived_set(X) -> List[Component]:
             if any(i in J and j not in J for a in atoms for i, j, _ in a.edges):
                 continue  # (ii): an edge leaves J, so it bounds a label of J from above
             inside = tuple(a for a in atoms if a.i in J and (a.j is None or a.j in J))
-            if not _holds_other_point(F.restrict(J), inside, [(None, (1 << len(J)) - 1, ())], 1, F.offset):
+            if not _holds_other_point(F.restrict(J), inside, [((1 << len(J)) - 1, ())], 1, F.offset):
                 continue  # (iii): the J part is 0 on every solution
             rest = tuple(a for a in atoms if a.i not in J and a.j not in J)
             G = F.restrict(set(labels) - J)
@@ -597,74 +599,27 @@ def _scaled(vec: Sequence[Fraction], D: int) -> List[Optional[int]]:
 
 @functools.lru_cache(maxsize=64)
 def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
-    """The feasibility memo of ``_capped_sweep`` for one constraint system,
-    shared by every sweep of it: (C, W, near, memo), with C and W the caps
-    on the step and on the pin ages, near a bit per label that each label
-    shares a difference edge with, and memo the map signature -> {sub:
-    whether its system is satisfiable}, filled by the sweeps.  It keeps
-    the 64 systems used last."""
-    C = W = 0
-    near = dict.fromkeys(labels, 0)
-    for a in atoms:
-        if a.j is None:
-            C = max(C, a.c)
-        else:
-            W = max(W, abs(a.c))
-            near[a.i] |= 1 << a.j
-            near[a.j] |= 1 << a.i
-    memo: Dict[tuple, Dict[int, bool]] = {}
-    return C, W, near, memo
+    """The feasibility memo of one constraint system, shared by every
+    ``_prefix_walk`` and ``_capped_sweep`` of it: (C, W, reach, memo), with
+    C the largest of 0 and the constants of the ``ge``/``le`` atoms, W the
+    largest of 0 and the |constants| of the ``diff_le``/``diff_eq`` atoms,
+    reach[mask] the bits 1 << l of the labels l that share a difference
+    edge with a label of the mask (a mask over positions in labels), and
+    memo the map signature -> {sub: whether its system is satisfiable},
+    filled by its callers.  It keeps the 64 systems used last.
 
-
-def _capped_sweep(
-    F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, target: Optional[GammaElement] = None
-):
-    """The capped index profiles of F at depths 1..k: yields, after each
-    coordinate c = 0..k-1, the set of (vector, capped mask, pins) states
-    of depth c + 1, the vector as integer numerators over D.
-
-    The first k coordinates of F(n) only depend on the capped profile
-    min(n_i, k): coordinate c < k is offset_c + (sum of q_i over
-    A_c = {i : n_i > c}).  A profile is therefore a chain of label sets
-    A_0 = I ⊇ A_1 ⊇ ... ⊇ A_{k-1}, and the sweep builds the vector one
-    coordinate at a time, choosing A_c among the subsets of A_{c-1}; the
-    labels that leave at step c are pinned to n_i = c.  The capped mask
-    is A_c (the labels with n_i > c), as a bit mask over positions in
-    ``F.labels``; pins are (label, n) pairs.  Nothing at step c depends on
-    k, so the states yielded at step c are those of the depth-(c + 1)
-    sweep, and one sweep serves every depth up to k.
-
-    D must be a multiple of the denominators of the coefficients and of
-    the first k offset coordinates (``_denominator``).  Every coordinate
-    is then an integer numerator over D: the subset-sum table, the offset
-    and the target are scaled once, and states hash and add as integers.
-    A target coordinate outside (1/D)Z matches no state.
-
-    Every child (the parent's chain with A_c = sub) passes two independent
-    tests.  With ``target``, its value must equal the target's coordinate
-    c, so only chains whose prefix agrees with the target's first k
-    coordinates are kept.  With atoms, the difference system with
-    n_i >= c + 1 on its open labels and its pins fixed must be
-    satisfiable.  That is sound, since every completion only tightens
-    those bounds, and at c = k - 1 it is exactly the satisfiability of
-    the full capped profile.  Without atoms the pins are not kept, so
-    chains that agree on the prefix and on the open mask merge, and the
-    cost follows the number of distinct vectors instead of k^|I|.
-
-    The feasibility test is asked once per residual system, the
-    clock-region argument of Alur and Dill ("A theory of timed automata",
-    TCS 126, 1994).  Let C be the largest of 0 and the constants of the
-    ``ge``/``le`` atoms, and W the largest of 0 and the |constants| of the
-    ``diff_le``/``diff_eq`` atoms.  A parent state at step c, with open
+    A chain (``_prefix_walk``) about to choose coordinate c, with open
     mask A and old pins p_l < c, has the signature (min(c, C + 1), A, the
     pairs (l, min(c - p_l, W + 2)) over the old pins l that share a
-    difference edge with a label of A).  The answer for a sub ⊆ A is
-    memoized under the signature and the sub, computed the first time a
-    parent with that signature asks about that sub.  A target does not
-    touch the argument below: it filters children by value, the memo
-    answers only feasibility, which never reads the target, and a
-    targeted sweep merely asks about fewer subs.  Two parents with one
-    signature get the same answer for every sub:
+    difference edge with a label of A, in the order the pins were made).
+    Its child for a sub ⊆ A pins the labels of A \\ sub at c, and it is
+    kept only if the difference system with n_i >= c + 1 on sub and every
+    pin fixed is satisfiable.  That is sound, since every completion only
+    tightens those bounds, and at the last coordinate it is exactly the
+    satisfiability of the full capped profile.  The answer is asked once
+    per signature and sub, the clock-region argument of Alur and Dill ("A
+    theory of timed automata", TCS 126, 1994): two feasible parents with
+    one signature get the same answer for every sub.
 
     1. The parent is feasible, so every edge between old pins, and every
        bound on one, already holds; a pin is a fixed value, so an edge
@@ -683,63 +638,233 @@ def _capped_sweep(
        the labels of A, which are at c or more: n >= g holds for g <= C,
        and n <= h fails for h <= C.  Below that, c is in the signature.
 
-    The memo outlives the sweep: ``_clock_memo`` keeps one per constraint
-    system, so every later sweep of the same system, from any caller and
-    at any depth, target, D, coefficients or offset, starts from the
-    answers of the earlier ones.
-
     - Key.  An answer is the satisfiability of the labels' system under
       the atoms with the pins and lower bounds that the signature and the
-      sub fix, so (labels, atoms) is the whole key: the argument above
-      never reads the coefficients, the offset, the target, k or D.  The
-      labels are part of it because the mask bits are positions in
-      ``F.labels``: one mask names other labels under another label tuple.
+      sub fix, so (labels, atoms) is the whole key: the argument never
+      reads the coefficients, the offset, a target, the depth or the
+      denominator.  The labels are part of it because the mask bits are
+      positions in ``F.labels``: one mask names other labels under
+      another label tuple.
     - Memory.  A system has finitely many signatures (the step is capped
       at C + 1, the open mask is one of 2^|labels|, and each pin age at
-      W + 2), each with at most 2^|labels| subs, and ``_clock_memo`` keeps
-      a fixed number of systems, so the memo is bounded whatever the
-      depths asked.
+      W + 2), each with at most 2^|labels| subs, and the cache keeps a
+      fixed number of systems, so the memo is bounded whatever the depths
+      asked.  reach has 2^|labels| entries, as many as the subset sums
+      that every walk and sweep builds.
     - Threads.  The memo is only read and written by single ``dict`` get,
       setdefault and setitem calls, each atomic, and every answer is a
-      deterministic function of its key, so two sweeps racing on one
+      deterministic function of its key, so two callers racing on one
       entry at worst both compute it and store the same value.  Two
       first calls racing on one system may build two memos; the cache
-      keeps one, and the other only loses its answers.
+      keeps one, and the other only loses its answers."""
+    C = W = 0
+    near = dict.fromkeys(labels, 0)
+    for a in atoms:
+        if a.j is None:
+            C = max(C, a.c)
+        else:
+            W = max(W, abs(a.c))
+            near[a.i] |= 1 << a.j
+            near[a.j] |= 1 << a.i
+    reach = [0] * (1 << len(labels))
+    for mask in range(1, len(reach)):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | near[labels[low.bit_length() - 1]]
+    memo: Dict[tuple, Dict[int, bool]] = {}
+    return C, W, reach, memo
 
-    Call counts of the sweep are therefore first-call counts:
-    ``project_set(fig2_set(), 30)`` makes 36 ``solve_min`` calls from an
-    empty memo, and none again while the memo holds that system.
-    """
-    labels = F.labels
-    n = len(labels)
+
+def _scaled_parts(F: PsiFunction, k: int, D: int):
+    """F's subset sums (``_subset_sums``) and its first k offset
+    coordinates, as integer numerators over D."""
     msum = _subset_sums([q.numerator * (D // q.denominator) for _, q in F._coeffs])
     d, offset = F.offset.prefix_numerators(k)
-    offset = [c * (D // d) for c in offset]
-    want: Optional[List[Optional[int]]] = None
-    if target is not None:
-        d, nums = target.prefix_numerators(k)
-        want = [None if c * D % d else c * D // d for c in nums]
+    return msum, [c * (D // d) for c in offset]
+
+
+def _prefix_walk(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int):
+    """The quotient images of F under atoms at depths 1..k, read off its
+    determinized profile automaton: yields, after each coordinate
+    c = 0..k-1, the list of (prefix, state set) pairs of depth c + 1, one
+    per distinct prefix, each prefix a tuple of integer numerators over D.
+
+    The first k coordinates of F(n) only depend on the capped profile
+    min(n_i, k): coordinate c < k is offset_c + (sum of q_i over
+    A_c = {i : n_i > c}).  A profile is therefore a chain of open masks
+    A_0 = I ⊇ A_1 ⊇ ... ⊇ A_{k-1}, bit masks over positions in
+    ``F.labels``; the labels that leave at step c are pinned to n_i = c.
+    Nothing at step c depends on k, so the layer of depth c + 1 is the
+    image at depth c + 1, and one walk serves every depth up to k.  D must
+    be a multiple of the denominators of the coefficients and of the first
+    k offset coordinates (``_denominator``), so that every coordinate is
+    an integer numerator over D.
+
+    A chain's state is its open mask without atoms, and its signature
+    (``_clock_memo``) with them.  At step c a state reads a sub of its
+    open mask (only sub = I at step 0, as every n_i >= 1), moves to the
+    child's state and emits the symbol msum[sub]; coordinate c is
+    offset_c plus the symbol, so one step's distinct symbols are distinct
+    values.  A prefix's state set holds the state of every chain with
+    that prefix, as an int with one bit per state: the mask itself
+    without atoms, and the signature's number in order of first reach
+    with them.  The moves of a state set (each symbol with the union of
+    its child states) are built once per call.  Step 0 has one parent,
+    the empty chain, so the first layer is read off the start's moves,
+    and every later step shares one memo: a mask's moves are the same at
+    every step from 1 on, and a signature holds its own step, capped at
+    C + 1, which is all its moves read of the step.  The walk extends
+    each prefix by the symbols of its state set's moves, so every
+    distinct prefix is built exactly once, and no layer is hashed or
+    deduplicated: distinct parents have distinct prefixes, and one
+    parent's children have distinct symbols.
+
+    The walk is exact if a chain's state alone decides which subs may
+    follow it and the state of each child.
+    - Without atoms every sub of the open mask may follow, and the
+      child's state is sub: this is the subset construction (Rabin and
+      Scott, 1959) of the automaton whose states are masks.
+    - With atoms, a sub may follow when its feasibility answer is true,
+      and that answer is a function of the signature and sub
+      (``_clock_memo``).  So is the child's signature: its step is
+      min(c + 1, C + 1), which the parent's capped step decides; its open
+      mask is sub; its ages are the parent's ages advanced by one and
+      capped at W + 2, then the new pins (the labels of A \\ sub) at age
+      1, each kept only if it shares a difference edge with a label of
+      sub.  The parent's signature already left out every pin with no
+      edge to A, and such a pin has none to sub ⊆ A either.  So two
+      chains with one prefix and one signature have the same feasible
+      continuations.  Each signature keeps the step and the pins of the
+      first chain that reached it, which serve only to ask ``solve_min``
+      on a memo miss.
+
+    The memo outlives the walk, so ``solve_min`` counts are first-call
+    counts: ``project_set(fig2_set(), 30)`` makes 36 calls from an empty
+    memo, and none again while the memo holds that system."""
+    labels = F.labels
+    n = len(labels)
+    msum, offset = _scaled_parts(F, k, D)
+    full = (1 << n) - 1
+
+    def mask_moves(first: bool, states: int) -> List[Tuple[int, int]]:
+        children: Dict[int, int] = {}
+        while states:
+            low = states & -states
+            states ^= low
+            open_mask = sub = low.bit_length() - 1
+            while True:
+                children[msum[sub]] = children.get(msum[sub], 0) | 1 << sub
+                if sub == 0 or first:
+                    break
+                sub = (sub - 1) & open_mask
+        return list(children.items())
+
+    def signature_moves(first: bool, states: int) -> List[Tuple[int, int]]:
+        children: Dict[int, int] = {}
+        while states:
+            low = states & -states
+            states ^= low
+            number = low.bit_length() - 1
+            capped, open_mask, ages = signature = signatures[number]
+            c, pins = chains[number]
+            feasible = memo.setdefault(signature, {})
+            step = min(capped + 1, C + 1)
+            older = [(l, min(a + 1, W + 2)) for l, a in ages]
+            sub = open_mask
+            while True:
+                if (ok := feasible.get(sub)) is not False:
+                    left = open_mask ^ sub
+                    new = [(labels[i], c) for i in range(n) if left >> i & 1] if left else []
+                    if ok is None:
+                        pinned = dict(pins + tuple(new))
+                        lower = dict.fromkeys(labels, c + 1)  # every label not pinned is in sub
+                        lower.update(pinned)
+                        ok = feasible[sub] = solve_min(labels, atoms, lower=lower, upper=pinned) is not None
+                    if ok:
+                        edges, aged = reach[sub], ()
+                        if edges:
+                            aged = tuple([(l, a) for l, a in older + [(l, 1) for l, _ in new] if edges >> l & 1])
+                        grown = (step, sub, aged)
+                        child = numbers.setdefault(grown, len(signatures))
+                        if child == len(signatures):
+                            signatures.append(grown)
+                            chains.append((c + 1, pins + tuple(new)))
+                        children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
+                if sub == 0 or first:
+                    break
+                sub = (sub - 1) & open_mask
+        return list(children.items())
+
     if atoms:
-        C, W, near, memo = _clock_memo(labels, atoms)
+        C, W, reach, memo = _clock_memo(labels, atoms)
+        signatures = [(0, full, ())]  # state i is signatures[i], first reached by chains[i]
+        chains = [(0, ())]
+        numbers = {signatures[0]: 0}
+        moves, start = signature_moves, 1
+    else:
+        moves, start = mask_moves, 1 << full
+
+    built: Dict[int, List[Tuple[int, int]]] = {}
+    layer = [((offset[0] + symbol,), child) for symbol, child in moves(True, start)]
+    yield layer
+    for c in range(1, k):
+        for _, states in layer:
+            if states not in built:
+                built[states] = moves(False, states)
+        shift = offset[c]
+        layer = [(prefix + (shift + symbol,), child) for prefix, states in layer for symbol, child in built[states]]
+        yield layer
+
+
+def _union_walk(X, K: int):
+    """The prefix walks of every component of X to depth K, in lockstep:
+    returns (D, layers) with D ``_denominator`` of X's components at K.
+    The k-th item of layers, k = 1..K, holds each component's depth-k
+    layer (``_prefix_walk``), and D is a multiple of the denominator at
+    every depth up to K.  An empty union has K empty layers."""
+    parts = _component_parts(X)
+    D = _denominator(parts, K)
+    walks = [_prefix_walk(F, atoms, K, D) for F, atoms in parts]
+    return D, zip(*walks) if walks else itertools.repeat((), K)
+
+
+def _capped_sweep(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, target: GammaElement):
+    """The capped index profiles of F at depths 1..k whose values agree
+    with target: yields, after each coordinate c = 0..k-1, the set of
+    (open mask, pins) states of depth c + 1.
+
+    It follows the chains of ``_prefix_walk``, with D as there, but keeps
+    only the children whose value equals the target's coordinate c, so
+    every state has the target's prefix, and a target coordinate outside
+    (1/D)Z matches no state.  Without atoms no pins are kept, and states
+    with one open mask merge.  With atoms a child must also pass the
+    feasibility test of ``_clock_memo``, whose memo the walks share: the
+    target only filters children by value and never enters an answer, so
+    a targeted sweep merely asks about fewer subs.  Each state keeps its
+    concrete pins, which ``_holds_other_point`` reads to build its
+    points, so chains with one signature are not merged here."""
+    labels = F.labels
+    n = len(labels)
+    msum, offset = _scaled_parts(F, k, D)
+    d, nums = target.prefix_numerators(k)
+    want = [None if c * D % d else c * D // d - shift for c, shift in zip(nums, offset)]
+    if atoms:
+        C, W, reach, memo = _clock_memo(labels, atoms)
 
     full = (1 << n) - 1
-    states = {((), full, ())}  # the empty chain, before coordinate 0
+    states = {(full, ())}  # the empty chain, before coordinate 0
     for c in range(k):
+        goal = want[c]
         grown = set()
-        for prefix, open_mask, pins in states:
+        for open_mask, pins in states:
             if atoms:
-                reach = 0
-                for i, l in enumerate(labels):
-                    if open_mask >> i & 1:
-                        reach |= near[l]
-                ages = tuple((l, min(c - p, W + 2)) for l, p in pins if reach >> l & 1)
+                edges = reach[open_mask]
+                ages = tuple((l, min(c - p, W + 2)) for l, p in pins if edges >> l & 1)
                 feasible = memo.setdefault((min(c, C + 1), open_mask, ages), {})
             sub = open_mask
             while True:
-                value = offset[c] + msum[sub]
-                if want is None or value == want[c]:
+                if msum[sub] == goal:
                     if not atoms:
-                        grown.add((prefix + (value,), sub, pins))
+                        grown.add((sub, pins))
                     elif (ok := feasible.get(sub)) is not False:
                         left = open_mask ^ sub
                         pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
@@ -748,7 +873,7 @@ def _capped_sweep(
                             lower.update(pinned)
                             ok = feasible[sub] = solve_min(labels, atoms, lower=lower, upper=dict(pinned)) is not None
                         if ok:
-                            grown.add((prefix + (value,), sub, pinned))
+                            grown.add((sub, pinned))
                 if sub == 0 or c == 0:  # A_0 = I, as every n_i >= 1
                     break
                 sub = (sub - 1) & open_mask
@@ -756,37 +881,28 @@ def _capped_sweep(
         yield states
 
 
-def _union_sweep(X, K: int, target: Optional[GammaElement] = None):
-    """The capped-profile sweeps of every component of X to depth K, in
-    lockstep: returns (parts, D, layers) with parts ``_component_parts(X)``
-    and D ``_denominator(parts, K)``.  The k-th item of layers, k = 1..K,
-    holds each component's depth-k states in the order of parts: a sweep's
-    states after coordinate k - 1 are those of the depth-k sweep, and D is
-    a multiple of the denominator at every depth up to K.  An empty union
-    has K empty layers.  With ``target`` every sweep keeps only the chains
-    that agree with it (``_capped_sweep``)."""
+def _last_layer(X, K: int, target: GammaElement):
+    """The targeted sweeps (``_capped_sweep``) of every component of X to
+    depth K, in lockstep over one common denominator: returns (parts,
+    layer) with parts ``_component_parts(X)`` and layer each component's
+    depth-K states in the order of parts, or () from the first empty
+    layer on, since a state at depth k grows from one at depth k - 1."""
     parts = _component_parts(X)
     D = _denominator(parts, K)
-    sweeps = [_capped_sweep(F, atoms, K, D, target) for F, atoms in parts]
-    return parts, D, zip(*sweeps) if sweeps else itertools.repeat((), K)
-
-
-def _last_layer(X, K: int, target: Optional[GammaElement] = None):
-    """``_union_sweep``'s (parts, D, depth-K layer), the layer () from the
-    first empty one on: a state at depth k grows from one at depth k - 1."""
-    parts, D, layers = _union_sweep(X, K, target)
-    for layer in layers:
+    layer = ()
+    for layer in zip(*[_capped_sweep(F, atoms, K, D, target) for F, atoms in parts]):
         if not any(layer):
-            return parts, D, ()
-    return parts, D, layer
+            return parts, ()
+    return parts, layer
 
 
 # -- the limit-point probe ----------------------------------------------------
 
 
 def _holds_other_point(F: PsiFunction, atoms, states, k: int, gamma: GammaElement) -> bool:
-    """Whether some capped-profile state of F (vector, capped mask, pins)
-    with vector gamma.truncate(k) holds a point other than gamma.
+    """Whether some capped-profile state of F (capped mask, pins) whose
+    points agree with gamma on the first k coordinates holds a point other
+    than gamma.
 
     With atoms the answer comes from the least solution and its unit
     pushes, and it is exact.  Let S be the solutions of the state's
@@ -822,12 +938,12 @@ def _holds_other_point(F: PsiFunction, atoms, states, k: int, gamma: GammaElemen
         # values.  With none capped every n_i < k, and E_{n_i} touches no
         # coordinate >= k - 1, so the point equals gamma iff the offset
         # agrees with gamma on every coordinate >= k, whatever the pins.
-        if any(capped for _, capped, _ in states):
+        if any(capped for capped, _ in states):
             return True
         diff = F.offset - gamma
         return bool(states) and not diff.is_zero and diff.last_index >= k
     labels = F.labels
-    for _, capped, pins in states:
+    for capped, pins in states:
         upper = dict(pins)
         free = [l for i, l in enumerate(labels) if capped >> i & 1]
         # never None: the sweep and derived_set only ask about satisfiable states
@@ -850,7 +966,7 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     ``_last_layer`` target gamma, so a chain is cut at the first coordinate
     that leaves it, and the probe is False at the first empty layer.
     Their feasibility answers are memoized per clock signature
-    (``_capped_sweep``), and there are finitely many signatures once the
+    (``_clock_memo``), and there are finitely many signatures once the
     step passes the largest ``ge``/``le`` constant and the pin ages pass
     the largest difference constant.  So the sweep's ``solve_min`` calls
     no longer grow with K once those caps are reached (from an empty memo,
@@ -864,7 +980,7 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
         raise ValueError("probe depth must be >= 1")
     if not isinstance(gamma, GammaElement):
         raise ValueError("the limit-point probe takes a group element")
-    parts, _, layer = _last_layer(X, K, gamma)
+    parts, layer = _last_layer(X, K, gamma)
     return any(_holds_other_point(F, atoms, states, K, gamma) for (F, atoms), states in zip(parts, layer))
 
 

@@ -5,22 +5,24 @@ elements whose first k coordinates vanish, so the quotient is the
 lexicographic rational k-space and the projection is coordinate
 truncation.  Images of small sets in these quotients are finite and are
 computed exactly from capped index profiles: the first k coordinates of a
-staircase sum only depend on min(n_i, k).  ``psifun._capped_sweep``
-enumerates those profiles one coordinate at a time, and
-``psifun._union_sweep`` runs one such sweep per component of a union, in
+staircase sum only depend on min(n_i, k).  ``psifun._prefix_walk`` reads
+those profiles off the determinized profile automaton of one component,
+one coordinate at a time, building each distinct prefix once, and
+``psifun._union_walk`` runs one walk per component of a union, in
 lockstep and over one common denominator D; their docstrings give the
-argument (merged chains, pruned constrained chains, the memo of residual
-systems, and why one sweep serves every depth up to its own).  That memo
-is kept per constraint system across calls (``psifun._clock_memo``), so
-``solve_min`` counts quoted for a sweep are first-call counts: 36 for
-``project_set(fig2_set(), 30)`` from an empty memo, and 0 when repeated.
+argument (the subset construction, the clock signatures of constrained
+chains, and why one walk serves every depth up to its own).  The
+feasibility memo of those signatures is kept per constraint system
+across calls (``psifun._clock_memo``), so ``solve_min`` counts quoted
+for a walk are first-call counts: 36 for ``project_set(fig2_set(), 30)``
+from an empty memo, and 0 when repeated.
 
 ``project_set`` keeps the distinct integer vectors of the union's last
 layer and returns them, with D, as a read-only ``QuotientImage`` and makes
 no Fraction while it computes: its length is the count at depth k, a
 membership query is scaled by D and looked up among the integer vectors,
 and iteration yields sorted Fraction tuples, one Fraction per distinct
-value.  ``count_function`` runs the union's sweeps once, to its largest k.
+value.  ``count_function`` runs the union's walks once, to its largest k.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .element import GammaElement, GammaExt, INF, format_rational, json_int, psi_point
-from .psifun import _last_layer, _scaled, _union_sweep
+from .psifun import _scaled, _union_walk
 
 __all__ = [
     "Phi",
@@ -106,6 +108,8 @@ def in_delta(gamma: GammaElement, phi: Phi) -> bool:
     k coordinates vanish; at infinity only zero qualifies."""
     if not isinstance(gamma, GammaElement):
         raise ValueError("in_delta takes a group element")
+    if not isinstance(phi, Phi):
+        raise ValueError(f"in_delta takes a scale value: {phi!r}")
     if phi.k is None:
         return gamma.is_zero
     return gamma.is_zero or gamma.leading_index >= phi.k
@@ -113,6 +117,8 @@ def in_delta(gamma: GammaElement, phi: Phi) -> bool:
 
 def project(gamma: GammaElement, k: int) -> TruncatedVector:
     """Coordinate truncation onto the rational k-space (zeros kept)."""
+    if not isinstance(gamma, GammaElement):
+        raise ValueError(f"project takes a group element: {gamma!r}")
     if json_int(k, "projection depth must be an integer") < 1:
         raise ValueError("projection depth must be >= 1")
     return gamma.truncate(k)
@@ -120,7 +126,7 @@ def project(gamma: GammaElement, k: int) -> TruncatedVector:
 
 class QuotientImage(AbcSet):
     """A finite quotient image at depth k, as ``project_set`` returns it:
-    a read-only set of Fraction k-tuples, stored as the sweep's distinct
+    a read-only set of Fraction k-tuples, stored as the walk's distinct
     integer vectors over one common denominator D > 0.
 
     ``len`` is O(1).  Iteration yields Fraction tuples in sorted order
@@ -170,30 +176,34 @@ class QuotientImage(AbcSet):
 
 def project_set(X, k: int) -> QuotientImage:
     """The exact finite projection of an image union or constrained image:
-    the distinct vectors of the depth-k layer of ``_last_layer`` (a cap
-    meaning "at least k"), kept in a ``QuotientImage`` over the sweep's
-    denominator D; no Fraction is made until the image is iterated."""
+    the prefixes of the depth-k layers of ``_union_walk``, kept in a
+    ``QuotientImage`` over the walks' denominator D; no Fraction is made
+    until the image is iterated."""
     if json_int(k, "projection depth must be an integer") < 1:
         raise ValueError("projection depth must be >= 1")
-    _, D, layer = _last_layer(X, k)
-    return QuotientImage({vec for states in layer for vec, _, _ in states}, D, k)
+    D, layers = _union_walk(X, k)
+    for layer in layers:
+        pass
+    return QuotientImage({prefix for walk in layer for prefix, _ in walk}, D, k)
 
 
 def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:
     """Exact quotient cardinalities |projection at s^k0| for each k, in the
-    order of ks (repeats kept).  One ``_union_sweep`` runs to K = max(ks);
-    its layer k is the depth-k sweep of every component, so the number of
-    distinct vectors in it is ``len(project_set(X, k))``.  Only one depth's
-    vectors are held at a time, and no Fraction is made."""
+    order of ks (repeats kept).  One ``_union_walk`` runs to K = max(ks);
+    its layer k holds each component's depth-k prefixes, each once, so
+    the number of distinct prefixes over the components is
+    ``len(project_set(X, k))``, and for one component it is the layer's
+    length.  Only one depth's prefixes are held at a time, and no Fraction
+    is made."""
     ks = list(ks)
     if any(json_int(k, "projection depth must be an integer") < 1 for k in ks):
         raise ValueError("projection depth must be >= 1")
     if not ks:
         return []
     counts = dict.fromkeys(ks, 0)
-    for k, layer in enumerate(_union_sweep(X, max(ks))[2], 1):
+    for k, layer in enumerate(_union_walk(X, max(ks))[1], 1):
         if k in counts:
-            counts[k] = len({vec for states in layer for vec, _, _ in states})
+            counts[k] = len(layer[0]) if len(layer) == 1 else len({p for walk in layer for p, _ in walk})
     return [(k, counts[k]) for k in ks]
 
 

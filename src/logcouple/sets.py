@@ -118,7 +118,7 @@ class ThickenedSmall:
         with x and stop at the first empty layer (``psifun._last_layer``).
         inf is in no thickened small set."""
         if self.thicken.is_finite:
-            return isinstance(x, GammaElement) and any(_last_layer(self.core, self.thicken.k, x)[2])
+            return isinstance(x, GammaElement) and any(_last_layer(self.core, self.thicken.k, x)[1])
         return image_contains(self.core, x)
 
 

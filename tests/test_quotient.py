@@ -120,6 +120,8 @@ class TestPhi:
         (lambda: count_function(fig2_set(), [3, 0]), "projection depth must be >= 1"),
         (lambda: project(psi_point(3), 2.5), "projection depth must be an integer: 2.5"),
         (lambda: project(psi_point(3), 0), "projection depth must be >= 1"),
+        (lambda: project(0, 2), "project takes a group element: 0"),
+        (lambda: in_delta(psi_point(2), 3), "in_delta takes a scale value: 3"),
         (lambda: psifun.limit_point_probe(ZERO, fig2_set(), 1.5), "probe depth must be an integer: 1.5"),
         (lambda: psifun.limit_point_probe(ZERO, fig2_set(), 0), "probe depth must be >= 1"),
         (lambda: Phi(1.5), "a finite scale value s^{k}0 takes an integer k: 1.5"),
@@ -130,7 +132,8 @@ class TestPhi:
     ],
 )
 def test_depths_are_integers(call, message):
-    # each entry point reads its depth or size with json_int before its bound
+    # each entry point reads its depth or size with json_int before its bound,
+    # and refuses an argument of the wrong type with one ValueError line
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
@@ -414,6 +417,50 @@ class TestQuotientImage:
         assert not hasattr(img, "add")
 
 
+class TestPrefixWalk:
+    @staticmethod
+    def layers(X, k):
+        (F, atoms), = psifun._component_parts(X)
+        D = psifun._denominator([(F, atoms)], k)
+        return D, list(psifun._prefix_walk(F, atoms, k, D))
+
+    @pytest.mark.parametrize(
+        "X, k, last",
+        [
+            (parse_linear("x0-x1+x2-x3+x4-x5+x6-x7"), 8, 33111),
+            (parse_linear("x0+x1+x2+x3+x4+x5"), 14, 27132),
+            (fig2_set(), 20, 191),
+        ],
+    )
+    def test_each_prefix_once(self, X, k, last):
+        # a walk that expanded chains instead of prefixes would repeat a
+        # prefix in some layer; the counts are those of the chain sweep
+        _, layers = self.layers(X, k)
+        counts = count_function([X], range(1, k + 1))
+        for (_, count), layer in zip(counts, layers):
+            prefixes = [prefix for prefix, _ in layer]
+            assert len(set(prefixes)) == len(prefixes) == count
+        assert counts[-1] == (k, last)
+
+    def test_layers_match_the_capped_profile_oracle(self):
+        # every layer, not only the last, is the image at its depth, over
+        # maps with offsets, mixed denominators and all four atom kinds
+        rng = random.Random(97)
+        for _ in range(40):
+            arity = rng.randint(1, 4)
+            coeffs = {i: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])) for i in range(arity)}
+            offset = GammaElement({rng.randrange(4): Fraction(rng.randint(-2, 2), rng.choice([1, 5]))})
+            F = PsiFunction(coeffs, offset)
+            X = ConstrainedImage(F, random_atoms(rng, arity, diffs=(-2, 2), bounds=(1, 5))) if rng.random() < 0.7 else F
+            k = rng.randint(3, 6)
+            want = capped_profile_oracle(X, k)
+            D, layers = self.layers(X, k)
+            for j, layer in enumerate(layers, 1):
+                prefixes = [tuple(Fraction(x, D) for x in prefix) for prefix, _ in layer]
+                assert len(set(prefixes)) == len(prefixes), (X, j)
+                assert set(prefixes) == {v[:j] for v in want}, (X, j)
+
+
 class TestCount:
     def test_fig2_polynomial(self):
         X = fig2_set()
@@ -466,16 +513,16 @@ class TestCount:
 
     def test_one_sweep_per_component(self, monkeypatch):
         depths = []
-        sweep = psifun._capped_sweep
+        walk = psifun._prefix_walk
 
-        def counting(F, atoms, k, D, target=None):
+        def counting(F, atoms, k, D):
             depths.append(k)
-            return sweep(F, atoms, k, D, target)
+            return walk(F, atoms, k, D)
 
-        monkeypatch.setattr(psifun, "_capped_sweep", counting)
+        monkeypatch.setattr(psifun, "_prefix_walk", counting)
         X = [fig2_set(), parse_linear("x0 - x1"), parse_linear("x0")]
         assert count_function(X, [4, 2, 7, 7]) == [(k, len(project_set(X, k))) for k in (4, 2, 7, 7)]
-        # project_set's own sweeps come after count_function's three
+        # project_set's own walks come after count_function's three
         assert depths[:3] == [7, 7, 7] and len(depths) == 3 + 4 * len(X)
         depths.clear()
         with pytest.raises(ValueError, match="projection depth must be >= 1"):
