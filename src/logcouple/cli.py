@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .element import (
     GammaExt,
@@ -86,17 +86,23 @@ def _parse_env(pairs: Optional[List[str]]) -> Dict[str, GammaExt]:
     return env
 
 
-def _parse_k_range(text: str) -> List[int]:
+# The most rows that one count table answers, so that a range is refused
+# before its ks are listed.
+_COUNT_ROWS = 1000
+
+
+def _parse_k_range(text: str) -> Tuple[int, int]:
+    """The bounds lo <= hi of a k or a range lo..hi; no list is built."""
     if ".." in text:
         a, b = text.split("..", 1)
         lo, hi = parse_integer(a), parse_integer(b)
         if lo < 1 or hi < lo:
             raise CliError(f"bad range {text!r}")
-        return list(range(lo, hi + 1))
+        return lo, hi
     k = parse_integer(text)
     if k < 1:
         raise CliError("k must be >= 1")
-    return [k]
+    return k, k
 
 
 def _parse_phis(text: str) -> List[Phi]:
@@ -120,10 +126,10 @@ def _load_union(args) -> List:
 
 
 def _single_k(args) -> int:
-    ks = _parse_k_range(args.k)
-    if len(ks) != 1:
+    lo, hi = _parse_k_range(args.k)
+    if lo != hi:
         raise CliError(f"{args.verb} takes a single k")
-    return ks[0]
+    return lo
 
 
 # Each _cmd_* verb returns (payload, lines), or (payload, lines, exit code)
@@ -208,7 +214,10 @@ def _cmd_project_set(args):
 
 def _cmd_count(args):
     union = _load_union(args)
-    table = count_function(union, _parse_k_range(args.k))
+    lo, hi = _parse_k_range(args.k)
+    if hi - lo >= _COUNT_ROWS:
+        raise CliError(f"count takes at most {_COUNT_ROWS} values of k: {args.k!r}")
+    table = count_function(union, range(lo, hi + 1))
     lines = ["k\tcount"] + [f"{k}\t{c}" for k, c in table]
     payload = {"counts": [{"k": k, "count": c} for k, c in table]}
     if args.fit:

@@ -520,7 +520,18 @@ def parse_element(text: str) -> GammaExt:
     body = text[1:-1].strip()
     if not body:
         return ZERO
-    return GammaElement.from_list(parse_rational(part) for part in body.split(","))
+    # each part in the grammar of parse_rational, kept as integers and
+    # put over the lcm of the denominators once
+    den, parts = 1, []
+    for n, part in enumerate(body.split(",")):
+        m = _match_rational(part)
+        d = int(m[3] or 1) if m else 0
+        if not d:
+            raise ValueError(f"not a rational: {part!r}")
+        if num := int(m[1] + m[2]):
+            parts.append((n, num, d))
+            den = lcm(den, d)
+    return _reduced(den, [(n, num * (den // d)) for n, num, d in parts], den)
 
 
 def format_element(x: GammaExt) -> str:

@@ -600,15 +600,16 @@ def _scaled(vec: Sequence[Fraction], D: int) -> List[Optional[int]]:
 @functools.lru_cache(maxsize=64)
 def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
     """The feasibility memo of one constraint system, shared by every
-    ``_prefix_walk`` and ``_capped_sweep`` of it: (C, W, reach, memo), with
-    C the largest of 0 and the constants of the ``ge``/``le`` atoms, W the
-    largest of 0 and the |constants| of the ``diff_le``/``diff_eq`` atoms,
-    reach[mask] the bits 1 << l of the labels l that share a difference
-    edge with a label of the mask (a mask over positions in labels), and
-    memo the map signature -> {sub: whether its system is satisfiable},
-    filled by its callers.  It keeps the 64 systems used last.
+    ``_ProfileAutomaton`` and ``_capped_sweep`` of it: (C, W, reach, memo),
+    with C the largest of 0 and the constants of the ``ge``/``le`` atoms,
+    W the largest of 0 and the |constants| of the ``diff_le``/``diff_eq``
+    atoms, reach[mask] the bits 1 << l of the labels l that share a
+    difference edge with a label of the mask (a mask over positions in
+    labels), and memo the map signature -> {sub: whether its system is
+    satisfiable}, filled by its callers.  It keeps the 64 systems used
+    last.
 
-    A chain (``_prefix_walk``) about to choose coordinate c, with open
+    A chain (``_ProfileAutomaton``) about to choose coordinate c, with open
     mask A and old pins p_l < c, has the signature (min(c, C + 1), A, the
     pairs (l, min(c - p_l, W + 2)) over the old pins l that share a
     difference edge with a label of A, in the order the pins were made).
@@ -682,22 +683,26 @@ def _scaled_parts(F: PsiFunction, k: int, D: int):
     return msum, [c * (D // d) for c in offset]
 
 
-def _prefix_walk(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int):
-    """The quotient images of F under atoms at depths 1..k, read off its
-    determinized profile automaton: yields, after each coordinate
-    c = 0..k-1, the list of (prefix, state set) pairs of depth c + 1, one
-    per distinct prefix, each prefix a tuple of integer numerators over D.
+_START = -1
+
+
+class _ProfileAutomaton(dict):
+    """The determinized profile automaton of F under atoms, with its
+    coordinates as integer numerators over D, read to depth k: a map from
+    a state set to its moves, a list of (symbol, child state set) pairs,
+    each built on first use (``__missing__``) and kept for the object's
+    life.  ``offset`` holds the first k offset coordinates over D, and the
+    key ``_START`` (-1, as a state set is a positive int) holds the moves
+    of the start, read at coordinate 0.  D must be a multiple of the
+    denominators of the coefficients and of the first k offset
+    coordinates (``_denominator``).
 
     The first k coordinates of F(n) only depend on the capped profile
     min(n_i, k): coordinate c < k is offset_c + (sum of q_i over
     A_c = {i : n_i > c}).  A profile is therefore a chain of open masks
     A_0 = I ⊇ A_1 ⊇ ... ⊇ A_{k-1}, bit masks over positions in
     ``F.labels``; the labels that leave at step c are pinned to n_i = c.
-    Nothing at step c depends on k, so the layer of depth c + 1 is the
-    image at depth c + 1, and one walk serves every depth up to k.  D must
-    be a multiple of the denominators of the coefficients and of the first
-    k offset coordinates (``_denominator``), so that every coordinate is
-    an integer numerator over D.
+    Nothing at step c depends on k.
 
     A chain's state is its open mask without atoms, and its signature
     (``_clock_memo``) with them.  At step c a state reads a sub of its
@@ -705,21 +710,18 @@ def _prefix_walk(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int):
     child's state and emits the symbol msum[sub]; coordinate c is
     offset_c plus the symbol, so one step's distinct symbols are distinct
     values.  A prefix's state set holds the state of every chain with
-    that prefix, as an int with one bit per state: the mask itself
+    that prefix, as a nonzero int with one bit per state: the mask itself
     without atoms, and the signature's number in order of first reach
-    with them.  The moves of a state set (each symbol with the union of
-    its child states) are built once per call.  Step 0 has one parent,
-    the empty chain, so the first layer is read off the start's moves,
-    and every later step shares one memo: a mask's moves are the same at
-    every step from 1 on, and a signature holds its own step, capped at
-    C + 1, which is all its moves read of the step.  The walk extends
-    each prefix by the symbols of its state set's moves, so every
-    distinct prefix is built exactly once, and no layer is hashed or
-    deduplicated: distinct parents have distinct prefixes, and one
-    parent's children have distinct symbols.
+    with them.  The moves of a state set join, for each symbol, the child
+    states of its members, so one state set's moves have distinct
+    symbols, and the state set of a prefix follows from its symbols.  Step
+    0 has one parent, the empty chain, whose moves are ``_START``'s; every
+    later step shares the map: a mask's moves are the same at every step
+    from 1 on, and a signature holds its own step, capped at C + 1, which
+    is all its moves read of the step.
 
-    The walk is exact if a chain's state alone decides which subs may
-    follow it and the state of each child.
+    The automaton is exact if a chain's state alone decides which subs
+    may follow it and the state of each child.
     - Without atoms every sub of the open mask may follow, and the
       child's state is sub: this is the subset construction (Rabin and
       Scott, 1959) of the automaton whose states are masks.
@@ -737,94 +739,150 @@ def _prefix_walk(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int):
       first chain that reached it, which serve only to ask ``solve_min``
       on a memo miss.
 
-    The memo outlives the walk, so ``solve_min`` counts are first-call
-    counts: ``project_set(fig2_set(), 30)`` makes 36 calls from an empty
-    memo, and none again while the memo holds that system."""
-    labels = F.labels
-    n = len(labels)
-    msum, offset = _scaled_parts(F, k, D)
-    full = (1 << n) - 1
+    The memo outlives the automaton, so ``solve_min`` counts are
+    first-call counts: ``project_set(fig2_set(), 30)`` makes 36 calls from
+    an empty memo, and none again while the memo holds that system."""
 
-    def mask_moves(first: bool, states: int) -> List[Tuple[int, int]]:
-        children: Dict[int, int] = {}
-        while states:
-            low = states & -states
-            states ^= low
-            open_mask = sub = low.bit_length() - 1
-            while True:
-                children[msum[sub]] = children.get(msum[sub], 0) | 1 << sub
-                if sub == 0 or first:
-                    break
-                sub = (sub - 1) & open_mask
-        return list(children.items())
+    __slots__ = ("offset", "_build")
 
-    def signature_moves(first: bool, states: int) -> List[Tuple[int, int]]:
-        children: Dict[int, int] = {}
-        while states:
-            low = states & -states
-            states ^= low
-            number = low.bit_length() - 1
-            capped, open_mask, ages = signature = signatures[number]
-            c, pins = chains[number]
-            feasible = memo.setdefault(signature, {})
-            step = min(capped + 1, C + 1)
-            older = [(l, min(a + 1, W + 2)) for l, a in ages]
-            sub = open_mask
-            while True:
-                if (ok := feasible.get(sub)) is not False:
-                    left = open_mask ^ sub
-                    new = [(labels[i], c) for i in range(n) if left >> i & 1] if left else []
-                    if ok is None:
-                        pinned = dict(pins + tuple(new))
-                        lower = dict.fromkeys(labels, c + 1)  # every label not pinned is in sub
-                        lower.update(pinned)
-                        ok = feasible[sub] = solve_min(labels, atoms, lower=lower, upper=pinned) is not None
-                    if ok:
-                        edges, aged = reach[sub], ()
-                        if edges:
-                            aged = tuple([(l, a) for l, a in older + [(l, 1) for l, _ in new] if edges >> l & 1])
-                        grown = (step, sub, aged)
-                        child = numbers.setdefault(grown, len(signatures))
-                        if child == len(signatures):
-                            signatures.append(grown)
-                            chains.append((c + 1, pins + tuple(new)))
-                        children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
-                if sub == 0 or first:
-                    break
-                sub = (sub - 1) & open_mask
-        return list(children.items())
+    def __init__(self, F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int):
+        n = len(F._coeffs)
+        msum, self.offset = _scaled_parts(F, k, D)
+        full = (1 << n) - 1
 
-    if atoms:
-        C, W, reach, memo = _clock_memo(labels, atoms)
-        signatures = [(0, full, ())]  # state i is signatures[i], first reached by chains[i]
-        chains = [(0, ())]
-        numbers = {signatures[0]: 0}
-        moves, start = signature_moves, 1
-    else:
-        moves, start = mask_moves, 1 << full
+        def mask_moves(first: bool, states: int) -> List[Tuple[int, int]]:
+            children: Dict[int, int] = {}
+            while states:
+                low = states & -states
+                states ^= low
+                open_mask = sub = low.bit_length() - 1
+                while True:
+                    children[msum[sub]] = children.get(msum[sub], 0) | 1 << sub
+                    if sub == 0 or first:
+                        break
+                    sub = (sub - 1) & open_mask
+            return list(children.items())
 
-    built: Dict[int, List[Tuple[int, int]]] = {}
-    layer = [((offset[0] + symbol,), child) for symbol, child in moves(True, start)]
+        def signature_moves(first: bool, states: int) -> List[Tuple[int, int]]:
+            children: Dict[int, int] = {}
+            while states:
+                low = states & -states
+                states ^= low
+                number = low.bit_length() - 1
+                capped, open_mask, ages = signature = signatures[number]
+                c, pins = chains[number]
+                feasible = memo.setdefault(signature, {})
+                step = min(capped + 1, C + 1)
+                older = [(l, min(a + 1, W + 2)) for l, a in ages]
+                sub = open_mask
+                while True:
+                    if (ok := feasible.get(sub)) is not False:
+                        left = open_mask ^ sub
+                        new = [(labels[i], c) for i in range(n) if left >> i & 1] if left else []
+                        if ok is None:
+                            pinned = dict(pins + tuple(new))
+                            lower = dict.fromkeys(labels, c + 1)  # every label not pinned is in sub
+                            lower.update(pinned)
+                            ok = feasible[sub] = solve_min(labels, atoms, lower=lower, upper=pinned) is not None
+                        if ok:
+                            edges, aged = reach[sub], ()
+                            if edges:
+                                aged = tuple([(l, a) for l, a in older + [(l, 1) for l, _ in new] if edges >> l & 1])
+                            grown = (step, sub, aged)
+                            child = numbers.setdefault(grown, len(signatures))
+                            if child == len(signatures):
+                                signatures.append(grown)
+                                chains.append((c + 1, pins + tuple(new)))
+                            children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
+                    if sub == 0 or first:
+                        break
+                    sub = (sub - 1) & open_mask
+            return list(children.items())
+
+        if atoms:
+            labels = F.labels
+            C, W, reach, memo = _clock_memo(labels, atoms)
+            signatures = [(0, full, ())]  # state i is signatures[i], first reached by chains[i]
+            chains = [(0, ())]
+            numbers = {signatures[0]: 0}
+            self._build, start = signature_moves, 1
+        else:
+            self._build, start = mask_moves, 1 << full
+        self[_START] = self._build(True, start)
+
+    def __missing__(self, states: int) -> List[Tuple[int, int]]:
+        moves = self[states] = self._build(False, states)
+        return moves
+
+
+def _automata(X, K: int):
+    """(D, automata): one ``_ProfileAutomaton`` per component of X, read to
+    depth K over D, ``_denominator`` of X's components at K, which is a
+    multiple of the denominator at every depth up to K."""
+    parts = _component_parts(X)
+    D = _denominator(parts, K)
+    return D, [_ProfileAutomaton(F, atoms, K, D) for F, atoms in parts]
+
+
+def _prefix_walk(auto: _ProfileAutomaton):
+    """The quotient images of one component at depths 1..k, read off its
+    automaton: yields, after each coordinate c = 0..k-1, the list of
+    (prefix, state set) pairs of depth c + 1, one per distinct prefix,
+    each prefix a tuple of integer numerators over D.  Nothing at step c
+    depends on k, so the layer of depth c + 1 is the image at depth
+    c + 1, and one walk serves every depth up to k.  The walk extends
+    each prefix by the symbols of its state set's moves, so every
+    distinct prefix is built exactly once, and no layer is hashed or
+    deduplicated: distinct parents have distinct prefixes, and one
+    parent's children have distinct symbols."""
+    offset = auto.offset
+    layer = [((offset[0] + symbol,), child) for symbol, child in auto[_START]]
     yield layer
-    for c in range(1, k):
-        for _, states in layer:
-            if states not in built:
-                built[states] = moves(False, states)
-        shift = offset[c]
-        layer = [(prefix + (shift + symbol,), child) for prefix, states in layer for symbol, child in built[states]]
+    for shift in offset[1:]:
+        layer = [(prefix + (shift + symbol,), child) for prefix, states in layer for symbol, child in auto[states]]
         yield layer
 
 
 def _union_walk(X, K: int):
     """The prefix walks of every component of X to depth K, in lockstep:
-    returns (D, layers) with D ``_denominator`` of X's components at K.
-    The k-th item of layers, k = 1..K, holds each component's depth-k
-    layer (``_prefix_walk``), and D is a multiple of the denominator at
-    every depth up to K.  An empty union has K empty layers."""
-    parts = _component_parts(X)
-    D = _denominator(parts, K)
-    walks = [_prefix_walk(F, atoms, K, D) for F, atoms in parts]
+    returns (D, layers) with D as in ``_automata``.  The k-th item of
+    layers, k = 1..K, holds each component's depth-k layer
+    (``_prefix_walk``).  An empty union has K empty layers."""
+    D, automata = _automata(X, K)
+    walks = [_prefix_walk(auto) for auto in automata]
     return D, zip(*walks) if walks else itertools.repeat((), K)
+
+
+def _transfer_counts(X, K: int) -> List[int]:
+    """The number of distinct depth-k prefixes over X's components, for
+    k = 1..K, by the transfer recurrence over the product of their
+    automata (``quotient.count_function`` gives the argument).  A layer
+    maps each product state to its number of prefixes; a product state is
+    a tuple of state sets, ``_START`` before coordinate 0 and 0 for a
+    component that has died."""
+    _, automata = _automata(X, K)
+    n = len(automata)
+    counts = []
+    layer = {(_START,) * n: 1}  # the empty prefix
+    for c in range(K):
+        grown: Dict[tuple, int] = {}
+        for key, m in layer.items():
+            children: Dict[int, list] = {}
+            for i, states in enumerate(key):
+                if states:
+                    auto = automata[i]
+                    shift = auto.offset[c]
+                    for symbol, child in auto[states]:
+                        row = children.get(shift + symbol)
+                        if row is None:
+                            row = children[shift + symbol] = [0] * n
+                        row[i] = child
+            for row in children.values():
+                row = tuple(row)
+                grown[row] = grown.get(row, 0) + m
+        counts.append(sum(grown.values()))
+        layer = grown
+    return counts
 
 
 def _capped_sweep(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, target: GammaElement):
@@ -832,7 +890,7 @@ def _capped_sweep(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, targe
     with target: yields, after each coordinate c = 0..k-1, the set of
     (open mask, pins) states of depth c + 1.
 
-    It follows the chains of ``_prefix_walk``, with D as there, but keeps
+    It follows the chains of ``_ProfileAutomaton``, with D as there, but keeps
     only the children whose value equals the target's coordinate c, so
     every state has the target's prefix, and a target coordinate outside
     (1/D)Z matches no state.  Without atoms no pins are kept, and states

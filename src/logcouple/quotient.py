@@ -5,14 +5,14 @@ elements whose first k coordinates vanish, so the quotient is the
 lexicographic rational k-space and the projection is coordinate
 truncation.  Images of small sets in these quotients are finite and are
 computed exactly from capped index profiles: the first k coordinates of a
-staircase sum only depend on min(n_i, k).  ``psifun._prefix_walk`` reads
-those profiles off the determinized profile automaton of one component,
-one coordinate at a time, building each distinct prefix once, and
-``psifun._union_walk`` runs one walk per component of a union, in
-lockstep and over one common denominator D; their docstrings give the
-argument (the subset construction, the clock signatures of constrained
-chains, and why one walk serves every depth up to its own).  The
-feasibility memo of those signatures is kept per constraint system
+staircase sum only depend on min(n_i, k).  The distinct prefixes of
+those values are the paths of a component's determinized profile
+automaton (``psifun._ProfileAutomaton``, over one common denominator D
+for a union), whose docstring gives the argument: the subset
+construction, and the clock signatures of constrained chains.
+``psifun._prefix_walk`` reads it one coordinate at a time and builds
+each distinct prefix once, and ``psifun._union_walk`` runs one walk per
+component, in lockstep.  The feasibility memo of those signatures is kept per constraint system
 across calls (``psifun._clock_memo``), so ``solve_min`` counts quoted
 for a walk are first-call counts: 36 for ``project_set(fig2_set(), 30)``
 from an empty memo, and 0 when repeated.
@@ -22,7 +22,10 @@ layer and returns them, with D, as a read-only ``QuotientImage`` and makes
 no Fraction while it computes: its length is the count at depth k, a
 membership query is scaled by D and looked up among the integer vectors,
 and iteration yields sorted Fraction tuples, one Fraction per distinct
-value.  ``count_function`` runs the union's walks once, to its largest k.
+value.  ``count_function`` builds no prefix: it counts the paths of the
+product of the components' automata by the transfer recurrence, once, to
+its largest k, and ``fit_count_polynomial`` fits the table's tail in
+Newton form.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .element import GammaElement, GammaExt, INF, format_rational, json_int, psi_point
-from .psifun import _scaled, _union_walk
+from .psifun import _scaled, _transfer_counts, _union_walk
 
 __all__ = [
     "Phi",
@@ -189,22 +192,34 @@ def project_set(X, k: int) -> QuotientImage:
 
 def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:
     """Exact quotient cardinalities |projection at s^k0| for each k, in the
-    order of ks (repeats kept).  One ``_union_walk`` runs to K = max(ks);
-    its layer k holds each component's depth-k prefixes, each once, so
-    the number of distinct prefixes over the components is
-    ``len(project_set(X, k))``, and for one component it is the layer's
-    length.  Only one depth's prefixes are held at a time, and no Fraction
-    is made."""
+    order of ks (repeats kept): ``len(project_set(X, k))``, counted by the
+    transfer-matrix method (Stanley, *Enumerative Combinatorics I*, 4.7)
+    over the components' automata (``psifun._transfer_counts``), run once
+    to K = max(ks).  No prefix, vector or Fraction is built.
+
+    1. A prefix fixes its state set.  One state set's moves
+       (``psifun._ProfileAutomaton``) have distinct symbols, so the depth-k
+       prefixes of a component are its paths of length k from the start,
+       one each, and a prefix's path ends at its state set.  A layer that
+       keeps, per state set, the number of prefixes that reach it
+       therefore counts prefixes exactly: each parent adds its number to
+       each child, and the layer's sum is the count.
+    2. The product reads each union vector once.  Over the common D, a
+       vector is in component i's image iff its coordinates minus
+       offset_i are a path of i's automaton.  A product state is the tuple
+       of the components' state sets, 0 for a component that has died,
+       and the value v at coordinate c moves each live component on its
+       symbol v - offset_i[c], if it has one.  Each product state has one
+       child per value, so the product is deterministic too: a vector is
+       one path of it, read once however many components contain it, and
+       step 1 applies."""
     ks = list(ks)
     if any(json_int(k, "projection depth must be an integer") < 1 for k in ks):
         raise ValueError("projection depth must be >= 1")
     if not ks:
         return []
-    counts = dict.fromkeys(ks, 0)
-    for k, layer in enumerate(_union_walk(X, max(ks))[1], 1):
-        if k in counts:
-            counts[k] = len(layer[0]) if len(layer) == 1 else len({p for walk in layer for p, _ in walk})
-    return [(k, counts[k]) for k in ks]
+    counts = _transfer_counts(X, max(ks))
+    return [(k, counts[k - 1]) for k in ks]
 
 
 def closed_discrete_certificate(X, phi: Phi) -> Tuple[TruncatedVector, ...]:
@@ -222,48 +237,43 @@ _FIT_MAX_DEGREE = 4
 
 def fit_count_polynomial(counts: Sequence[Tuple[int, int]]) -> Optional[Tuple[Fraction, ...]]:
     """Exact polynomial fit of the count table: the least degree d (at most
-    ``_FIT_MAX_DEGREE``) whose interpolation through the last d+1 points
-    also matches the remaining point of the last d+2.  Returns coefficients
-    (constant first) or None.  Any fit is conjectural; the caller must flag
-    it as such."""
-    if len(counts) < 2:
+    ``_FIT_MAX_DEGREE``) whose interpolant through the last d+1 rows also
+    meets row d+2 from the end.  Returns its coefficients (constant first),
+    or None when no degree fits or two of the interpolated rows share a k.
+    Any fit is conjectural; the caller must flag it as such.
+
+    The Newton form (Knuth, TAOCP Vol. 2, 4.6.4) grows from the end of the
+    table: node j is the k of row j + 1 from the end, and the table keeps
+    its last diagonal, the divided differences f[x_{d-i}, ..., x_d] for
+    i = 0..d.  Degree d costs one new diagonal and one Horner check in
+    Newton form, and only the degree returned is expanded into monomial
+    coefficients."""
+    rows = counts[-(_FIT_MAX_DEGREE + 2) :][::-1]
+    if len(rows) < 2:
         return None
-    for d in range(0, _FIT_MAX_DEGREE + 1):
-        tail = counts[-(d + 2) :]
-        if len(tail) < d + 2:
-            break
-        nodes = tail[-(d + 1) :]
-        # solve the Vandermonde system exactly
-        coeffs = _interpolate([Fraction(k) for k, _ in nodes], [Fraction(c) for _, c in nodes])
-        if coeffs is None:
-            continue
-        if all(_poly_eval(coeffs, Fraction(k)) == c for k, c in tail):
-            return coeffs
+    xs = [k for k, _ in rows]
+    newton = [Fraction(rows[0][1])]  # f[x_0, ..., x_j] for j = 0..d
+    diagonal = newton[:]  # f[x_{d-i}, ..., x_d] for i = 0..d
+    for d in range(len(rows) - 1):
+        x, y = rows[d + 1]
+        value = newton[d]
+        for j in range(d - 1, -1, -1):
+            value = value * (x - xs[j]) + newton[j]
+        if value == y:
+            coeffs = [newton[d]]
+            for j in range(d - 1, -1, -1):
+                coeffs = [newton[j] - xs[j] * coeffs[0]] + [
+                    low - xs[j] * high for low, high in zip(coeffs, coeffs[1:])
+                ] + coeffs[-1:]
+            return tuple(coeffs)
+        grown = [Fraction(y)]
+        for i in range(d + 1):
+            if x == xs[d - i]:
+                return None  # a repeated node: no larger degree interpolates
+            grown.append((grown[i] - diagonal[i]) / (x - xs[d - i]))
+        diagonal = grown
+        newton.append(grown[-1])
     return None
-
-
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _interpolate(xs: List[Fraction], ys: List[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-    n = len(xs)
-    rows = [[x**j for j in range(n)] + [y] for x, y in zip(xs, ys)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pv = rows[col][col]
-        rows[col] = [v / pv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
 
 
 def format_vector(vec: TruncatedVector) -> str:

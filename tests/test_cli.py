@@ -152,6 +152,12 @@ class TestImageVerbs:
             assert lines[0] == "k\tcount"
             assert lines[k] == f"{k}\t{count}" and len(lines) == k + 1 + len(fit)
 
+    def test_count_answers_its_most_rows(self, capsys):
+        # one row fewer than the refused 5..1005, at depths past 1000
+        code, out = run(capsys, "count", "--union", "x0", "--k", "5..1004")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 1001 and lines[1] == "5\t5" and lines[-1] == "1004\t1004"
+
     def test_count_fit(self, capsys, fig2_file):
         code, out = run(capsys, "count", "--file", fig2_file, "--k", "1..8", "--fit", "--json")
         data = json.loads(out)
@@ -419,6 +425,11 @@ class TestInputErrors:
             (["recover", "--file", "index-negative-at-x1.json"], "psi indices start at 1"),
             (["recover", "--file", "index-zero-at-x0.json"], "psi indices start at 1"),
             (["recover", "--file", "index-zero-at-x1-wrong-value.json"], "psi indices start at 1"),
+            # a range is refused before any list of its ks is built
+            (["project-set", "--union", "x0", "--k", "1..10000000000000"], "project-set takes a single k"),
+            (["project", "[1]", "--k", "1..10000000000000"], "project takes a single k"),
+            (["count", "--union", "x0", "--k", "1..10000000000000"], "count takes at most 1000 values of k"),
+            (["count", "--union", "x0", "--k", "5..1005"], "count takes at most 1000 values of k: '5..1005'"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

@@ -20,6 +20,7 @@ from logcouple.element import (
     integral,
     is_psi_point,
     parse_element,
+    parse_rational,
     pred,
     psi,
     psi_point,
@@ -117,6 +118,30 @@ class TestArithmeticAndOrder:
             parse_element("[1/0]")
         with pytest.raises(ValueError):
             parse_element("[1/-2]")
+
+    def test_literal_equals_its_parsed_rationals(self):
+        # parse_element reads each part in parse_rational's grammar, with the
+        # same error, and puts the parts over one denominator
+        rng = random.Random(29)
+        for _ in range(2000):
+            parts = []
+            for _ in range(rng.randint(1, 8)):
+                num = rng.choice([0, 0, 1, -1, 2, -3, 12, rng.randint(-10**9, 10**9)])
+                sign = "+" if num >= 0 and rng.random() < 0.2 else ""
+                pad = rng.choice(["", " "])
+                den = rng.choice(["", "/1", "/2", "/4", "/6", f"/{pad}{rng.randint(1, 60)}"])
+                if rng.random() < 0.01:
+                    den = rng.choice(["/0", "/-2", "x", "/"])
+                parts.append(f"{pad}{sign}{num}{pad}{den}")
+            text = "[" + ",".join(parts) + "]"
+            try:
+                want = GammaElement.from_list(parse_rational(part) for part in text[1:-1].strip().split(","))
+            except ValueError as error:
+                with pytest.raises(ValueError) as caught:
+                    parse_element(text)
+                assert str(caught.value) == str(error), text
+            else:
+                assert parse_element(text) == want, text
 
     @given(elements_st, elements_st, elements_st)
     def test_group_laws(self, a, b, c):

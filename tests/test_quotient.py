@@ -420,9 +420,8 @@ class TestQuotientImage:
 class TestPrefixWalk:
     @staticmethod
     def layers(X, k):
-        (F, atoms), = psifun._component_parts(X)
-        D = psifun._denominator([(F, atoms)], k)
-        return D, list(psifun._prefix_walk(F, atoms, k, D))
+        D, (auto,) = psifun._automata(X, k)
+        return D, list(psifun._prefix_walk(auto))
 
     @pytest.mark.parametrize(
         "X, k, last",
@@ -513,22 +512,87 @@ class TestCount:
 
     def test_one_sweep_per_component(self, monkeypatch):
         depths = []
-        walk = psifun._prefix_walk
+        build = psifun._ProfileAutomaton
 
         def counting(F, atoms, k, D):
             depths.append(k)
-            return walk(F, atoms, k, D)
+            return build(F, atoms, k, D)
 
-        monkeypatch.setattr(psifun, "_prefix_walk", counting)
+        monkeypatch.setattr(psifun, "_ProfileAutomaton", counting)
         X = [fig2_set(), parse_linear("x0 - x1"), parse_linear("x0")]
         assert count_function(X, [4, 2, 7, 7]) == [(k, len(project_set(X, k))) for k in (4, 2, 7, 7)]
-        # project_set's own walks come after count_function's three
+        # project_set's own automata come after count_function's three
         assert depths[:3] == [7, 7, 7] and len(depths) == 3 + 4 * len(X)
         depths.clear()
         with pytest.raises(ValueError, match="projection depth must be >= 1"):
             count_function(X, [3, 0, 2])
         assert depths == []
         assert count_function(X, []) == [] and depths == []
+
+    def test_transfer_counts_match_the_walk_and_the_oracle(self):
+        # unions with offsets, mixed denominators, all four atom kinds and
+        # constants up to 5; a later component may reuse an earlier map under
+        # other atoms, or move its offset deep down, so that components
+        # share vectors
+        rng = random.Random(71)
+        for _ in range(25):
+            X = []
+            for j in range(rng.randint(1, 3)):
+                if X and rng.random() < 0.4:
+                    F = rng.choice(X)
+                    F = F.base if isinstance(F, ConstrainedImage) else F
+                    F = PsiFunction(F.coeffs, F.offset + GammaElement({rng.randint(3, 14): Fraction(1, 5)}))
+                else:
+                    arity = rng.randint(1, 3)
+                    coeffs = {i: Fraction(rng.choice([-3, -2, -1, 1, 2]), rng.choice(DENOMINATORS[j])) for i in range(arity)}
+                    F = PsiFunction(coeffs, GammaElement({rng.randrange(4): Fraction(rng.randint(-2, 2), rng.choice([1, 3]))}))
+                if F.labels and rng.random() < 0.6:
+                    F = ConstrainedImage(F, random_atoms(rng, len(F.labels), most=4, diffs=(-5, 5), bounds=(0, 5)))
+                X.append(F)
+            want = capped_profile_oracle(X, 12)
+            counts = count_function(X, range(1, 13))
+            assert counts == [(k, len({v[:k] for v in want})) for k in range(1, 13)], X
+            assert counts == [(k, len(project_set(X, k))) for k in range(1, 13)], X
+            _, layers = psifun._union_walk(X, 12)
+            assert counts == [(k, len({p for walk in layer for p, _ in walk})) for k, layer in enumerate(layers, 1)], X
+
+    @pytest.mark.parametrize(
+        "X, k, last",
+        [
+            (parse_linear("x0+x1+x2+x3+x4+x5"), 30, 1623160),
+            (parse_linear("x0-x1+x2-x3+x4-x5+x6-x7+x8-x9"), 40, 677084928807),
+        ],
+    )
+    def test_deep_counts(self, X, k, last):
+        # far past any depth whose vectors could be listed
+        assert count_function(X, range(1, k + 1))[-1] == (k, last)
+
+    def test_fit_matches_the_elimination_oracle(self):
+        rng = random.Random(83)
+        tables = [[(k, 0) for k in range(1, 7)], [(3, 5)], []]
+        for _ in range(600):
+            degree = rng.randint(0, 5)
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 6])) for _ in range(degree + 1)]
+            ks = list(range(rng.randint(1, 4), rng.randint(5, 12)))
+            shape = rng.choice(["consecutive", "shuffled", "repeated"])
+            if shape == "shuffled":
+                rng.shuffle(ks)
+            elif shape == "repeated":
+                ks = [rng.choice(ks) if rng.random() < 0.3 else k for k in ks]
+            table = [(k, sum(c * k**i for i, c in enumerate(coeffs))) for k in ks]
+            if rng.random() < 0.15:
+                table = [(k, 2**k) for k in ks]
+            if rng.random() < 0.4:  # one row off the polynomial, maybe at a repeated k
+                i = rng.randrange(len(table))
+                table[i] = (table[i][0], table[i][1] + 1)
+            tables.append(table)
+        fits = 0
+        for table in tables:
+            fit = fit_count_polynomial(table)
+            assert fit == elimination_fit(table), table
+            assert fit is None or all(type(c) is Fraction for c in fit)
+            fits += fit is not None
+        assert 150 < fits < len(tables) - 150
 
     def test_fit(self):
         table = count_function(fig2_set(), range(1, 9))
@@ -541,6 +605,33 @@ class TestCount:
 
     def test_fit_constant(self):
         assert fit_count_polynomial([(1, 4), (2, 4), (3, 4)]) == (Fraction(4),)
+
+
+def elimination_fit(counts):
+    """The fit by Gaussian elimination of Fraction Vandermonde systems, an
+    independent oracle for ``fit_count_polynomial``: the least degree d <= 4
+    whose interpolant through the last d+1 rows meets every row of the
+    last d+2, or None."""
+    for d in range(5):
+        tail = counts[-(d + 2) :]
+        if len(tail) < d + 2:
+            break
+        n = d + 1
+        rows = [[Fraction(k) ** j for j in range(n)] + [Fraction(c)] for k, c in tail[1:]]
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if rows[r][col]), None)
+            if pivot is None:
+                break  # a repeated k among the nodes
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            rows[col] = [v / rows[col][col] for v in rows[col]]
+            for r in range(n):
+                if r != col and rows[r][col]:
+                    rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+        else:
+            coeffs = tuple(row[n] for row in rows)
+            if all(sum(c * k**i for i, c in enumerate(coeffs)) == count for k, count in tail):
+                return coeffs
+    return None
 
 
 def shared_systems(rng, count):
