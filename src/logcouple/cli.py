@@ -491,9 +491,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload, lines, *code = args.fn(args)
         if args.json:
             print(json.dumps(payload, indent=2))
-        else:
-            for line in lines:
-                print(line)
+        elif lines:
+            sys.stdout.write("\n".join(lines) + "\n")
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code[0] if code else 0
     except BrokenPipeError:

@@ -16,9 +16,12 @@ support (reported as parametric families).  The search yields one family at
 a time: ``contains`` and ``member_constrained`` stop at the first family
 that answers them, and ``member`` lists them all.
 
-Everything here is pure and immutable, but for one bounded cache of
-feasibility answers shared across calls (``_clock_memo``), which changes
-no answer, only how often ``solve_min`` is asked.
+Quotient images, counts, the limit-point probe and thickened membership
+all read one enumerator of capped index profiles: the determinized
+profile automaton (``_ProfileAutomaton``).  Everything here is pure and
+immutable, but for one bounded cache of the constrained automata's
+successor lists shared across calls (``_clock_memo``), which changes no
+answer, only how often ``solve_min`` is asked.
 """
 
 from __future__ import annotations
@@ -394,12 +397,13 @@ def derived_set(X) -> List[Component]:
     nonempty J with (i)-(iii), of F_{I\\J} under the atoms within I\\J, a
     plain map when none remain.
 
-    (iii) is ``_holds_other_point`` on F restricted to J, which keeps the
-    offset, with all of J capped at depth 1 and the offset as gamma: one
-    ``solve_min`` and |J| unit pushes.  Without atoms (ii) and (iii) always
-    hold: a zero-sum J has two labels or more, and its J part has coordinate
-    1 equal to -q_j when n_j = 1 and the others are 2, so the rule is the
-    zero-sum rule."""
+    (iii) is ``_leaves`` on F restricted to J, which keeps the offset,
+    under the atoms within J, with the offset as gamma at depth 1: every
+    point of it has the offset's coordinate 0, as the sum over J is 0, so
+    a point other than the offset is a solution whose J part is not 0.
+    Without atoms (ii) and (iii) always hold: a zero-sum J has two labels
+    or more, and its J part has coordinate 1 equal to -q_j when n_j = 1
+    and the others are 2, so the rule is the zero-sum rule."""
     out: List[Component] = []
     seen = set()
     for F, atoms in _component_parts(X):
@@ -415,7 +419,7 @@ def derived_set(X) -> List[Component]:
             if any(i in J and j not in J for a in atoms for i, j, _ in a.edges):
                 continue  # (ii): an edge leaves J, so it bounds a label of J from above
             inside = tuple(a for a in atoms if a.i in J and (a.j is None or a.j in J))
-            if not _holds_other_point(F.restrict(J), inside, [((1 << len(J)) - 1, ())], 1, F.offset):
+            if not _leaves(F.restrict(J), inside, F.offset, 1):
                 continue  # (iii): the J part is 0 on every solution
             rest = tuple(a for a in atoms if a.i not in J and a.j not in J)
             G = F.restrict(set(labels) - J)
@@ -580,9 +584,20 @@ def contains(X, gamma: GammaElement) -> bool:
 # -- capped index profiles -----------------------------------------------------
 
 
+# The deepest coordinate that a walk of the profile automaton reads.  A walk
+# starts from a list of its first k offset coordinates, so a deeper k is
+# refused with one line before any such list is made.  The README, the
+# tests and the benchmark ask depths up to 1,004.
+_MAX_DEPTH = 4096
+
+
 def _denominator(parts, k: int) -> int:
     """The lcm of the denominators of every coefficient and of the first k
-    offset coordinates of the components in parts."""
+    offset coordinates of the components in parts.  Every walk asks it
+    first (``_automata``, ``_along``), so it refuses a k past
+    ``_MAX_DEPTH`` when parts has a component to list."""
+    if k > _MAX_DEPTH and parts:
+        raise ValueError(f"depth {k} is past the deepest supported, {_MAX_DEPTH}")
     dens = [q.denominator for F, _ in parts for _, q in F._coeffs]
     dens += [F.offset.prefix_numerators(k)[0] for F, _ in parts]
     return math.lcm(*dens)
@@ -599,28 +614,36 @@ def _scaled(vec: Sequence[Fraction], D: int) -> List[Optional[int]]:
 
 @functools.lru_cache(maxsize=64)
 def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
-    """The feasibility memo of one constraint system, shared by every
-    ``_ProfileAutomaton`` and ``_capped_sweep`` of it: (C, W, reach, memo),
-    with C the largest of 0 and the constants of the ``ge``/``le`` atoms,
-    W the largest of 0 and the |constants| of the ``diff_le``/``diff_eq``
-    atoms, reach[mask] the bits 1 << l of the labels l that share a
-    difference edge with a label of the mask (a mask over positions in
-    labels), and memo the map signature -> {sub: whether its system is
-    satisfiable}, filled by its callers.  It keeps the 64 systems used
-    last.
+    """The successor memo of one constraint system, shared by every
+    ``_ProfileAutomaton`` of it: a function successors(signature, c, pins)
+    that returns the list of (sub, child signature) pairs of the subs that
+    may follow a chain with that signature, in decreasing order of sub.
+    The list is built from the chain (c, pins) of the first caller with
+    that signature and kept; a later caller's chain is not read.  The
+    cache keeps the 64 systems used last.
 
-    A chain (``_ProfileAutomaton``) about to choose coordinate c, with open
-    mask A and old pins p_l < c, has the signature (min(c, C + 1), A, the
-    pairs (l, min(c - p_l, W + 2)) over the old pins l that share a
-    difference edge with a label of A, in the order the pins were made).
-    Its child for a sub ⊆ A pins the labels of A \\ sub at c, and it is
-    kept only if the difference system with n_i >= c + 1 on sub and every
-    pin fixed is satisfiable.  That is sound, since every completion only
-    tightens those bounds, and at the last coordinate it is exactly the
-    satisfiability of the full capped profile.  The answer is asked once
-    per signature and sub, the clock-region argument of Alur and Dill ("A
-    theory of timed automata", TCS 126, 1994): two feasible parents with
-    one signature get the same answer for every sub.
+    Let C be the largest of 0 and the constants of the ``ge``/``le``
+    atoms, and W the largest of 0 and the |constants| of the
+    ``diff_le``/``diff_eq`` atoms.  A chain about to choose coordinate c,
+    with open mask A (a bit mask over positions in labels) and old pins
+    p_l < c, has the signature (min(c, C + 1), A, the pairs
+    (l, min(c - p_l, W + 2)) over the old pins l that share a difference
+    edge with a label of A, in the order the pins were made).  Its child
+    for a sub ⊆ A pins the labels of A \\ sub at c, and the sub may follow
+    if the difference system with n_i >= c + 1 on sub and every pin fixed
+    is satisfiable.  That is sound, since every completion only tightens
+    those bounds, and at the last coordinate it is exactly the
+    satisfiability of the full capped profile.  Only sub = A = I may
+    follow at step 0, as every n_i >= 1, and the capped step tells step 0
+    apart: it is 0 there and at least 1 later.  The child's signature is
+    (min(c + 1, C + 1), sub, the parent's ages advanced by one and capped
+    at W + 2, then the new pins at age 1, each kept only if it shares a
+    difference edge with a label of sub); the parent's signature already
+    left out every pin with no edge to A, which has none to sub ⊆ A
+    either.  So the child's signature follows from the parent's signature
+    and the sub.  Which subs may follow does too, by the clock-region
+    argument of Alur and Dill ("A theory of timed automata", TCS 126,
+    1994): two feasible chains with one signature have the same list.
 
     1. The parent is feasible, so every edge between old pins, and every
        bound on one, already holds; a pin is a fixed value, so an edge
@@ -639,25 +662,24 @@ def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
        the labels of A, which are at c or more: n >= g holds for g <= C,
        and n <= h fails for h <= C.  Below that, c is in the signature.
 
-    - Key.  An answer is the satisfiability of the labels' system under
-      the atoms with the pins and lower bounds that the signature and the
-      sub fix, so (labels, atoms) is the whole key: the argument never
-      reads the coefficients, the offset, a target, the depth or the
-      denominator.  The labels are part of it because the mask bits are
-      positions in ``F.labels``: one mask names other labels under
-      another label tuple.
+    - Key.  A list follows from the signature, the labels and the atoms,
+      so (labels, atoms) is the whole key: the argument never reads the
+      coefficients, the offset, a target, the depth or the denominator.
+      The labels are part of it because the mask bits are positions in
+      ``F.labels``: one mask names other labels under another label
+      tuple.
     - Memory.  A system has finitely many signatures (the step is capped
       at C + 1, the open mask is one of 2^|labels|, and each pin age at
-      W + 2), each with at most 2^|labels| subs, and the cache keeps a
-      fixed number of systems, so the memo is bounded whatever the depths
-      asked.  reach has 2^|labels| entries, as many as the subset sums
-      that every walk and sweep builds.
-    - Threads.  The memo is only read and written by single ``dict`` get,
-      setdefault and setitem calls, each atomic, and every answer is a
-      deterministic function of its key, so two callers racing on one
-      entry at worst both compute it and store the same value.  Two
-      first calls racing on one system may build two memos; the cache
-      keeps one, and the other only loses its answers."""
+      W + 2), each with a list of at most 2^|labels| subs, and the cache
+      keeps a fixed number of systems, so the memo is bounded whatever the
+      depths asked.  ``solve_min`` is asked once per signature and sub.
+    - Threads.  The memo is only read and written by single ``dict`` get
+      and setitem calls, each atomic, and every list is a deterministic
+      function of its signature, so two callers racing on one signature
+      at worst both build its list and store equal ones.  Two first calls
+      racing on one system may build two memos; the cache keeps one, and
+      the other only loses its lists."""
+    n = len(labels)
     C = W = 0
     near = dict.fromkeys(labels, 0)
     for a in atoms:
@@ -667,12 +689,37 @@ def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
             W = max(W, abs(a.c))
             near[a.i] |= 1 << a.j
             near[a.j] |= 1 << a.i
-    reach = [0] * (1 << len(labels))
+    reach = [0] * (1 << n)  # the bits 1 << l of the labels l with an edge to a label of the mask
     for mask in range(1, len(reach)):
         low = mask & -mask
         reach[mask] = reach[mask ^ low] | near[labels[low.bit_length() - 1]]
-    memo: Dict[tuple, Dict[int, bool]] = {}
-    return C, W, reach, memo
+    memo: Dict[tuple, List[Tuple[int, tuple]]] = {}
+
+    def successors(signature: tuple, c: int, pins: tuple) -> List[Tuple[int, tuple]]:
+        moves = memo.get(signature)
+        if moves is None:
+            capped, open_mask, ages = signature
+            step = min(capped + 1, C + 1)
+            older = [(l, min(a + 1, W + 2)) for l, a in ages]
+            moves = []
+            sub = open_mask
+            while True:
+                left = open_mask ^ sub
+                new = [(labels[i], c) for i in range(n) if left >> i & 1]
+                pinned = dict(pins + tuple(new))
+                lower = dict.fromkeys(labels, c + 1)  # every label not pinned is in sub
+                lower.update(pinned)
+                if solve_min(labels, atoms, lower=lower, upper=pinned) is not None:
+                    edges = reach[sub]
+                    aged = tuple([(l, a) for l, a in older + [(l, 1) for l, _ in new] if edges >> l & 1])
+                    moves.append((sub, (step, sub, aged)))
+                if sub == 0 or capped == 0:
+                    break
+                sub = (sub - 1) & open_mask
+            memo[signature] = moves
+        return moves
+
+    return successors
 
 
 def _scaled_parts(F: PsiFunction, k: int, D: int):
@@ -711,46 +758,40 @@ class _ProfileAutomaton(dict):
     offset_c plus the symbol, so one step's distinct symbols are distinct
     values.  A prefix's state set holds the state of every chain with
     that prefix, as a nonzero int with one bit per state: the mask itself
-    without atoms, and the signature's number in order of first reach
-    with them.  The moves of a state set join, for each symbol, the child
-    states of its members, so one state set's moves have distinct
-    symbols, and the state set of a prefix follows from its symbols.  Step
-    0 has one parent, the empty chain, whose moves are ``_START``'s; every
-    later step shares the map: a mask's moves are the same at every step
-    from 1 on, and a signature holds its own step, capped at C + 1, which
-    is all its moves read of the step.
+    without atoms, and the signature's number in this object's order of
+    first reach with them.  The moves of a state set join, for each
+    symbol, the child states of its members, so one state set's moves
+    have distinct symbols, and the state set of a prefix follows from its
+    symbols.  Step 0 has one parent, the empty chain, whose moves are
+    ``_START``'s; every later step shares the map: a mask's moves are the
+    same at every step from 1 on, and a signature holds its own step,
+    capped at C + 1, which is all its moves read of the step.
 
     The automaton is exact if a chain's state alone decides which subs
     may follow it and the state of each child.
     - Without atoms every sub of the open mask may follow, and the
       child's state is sub: this is the subset construction (Rabin and
       Scott, 1959) of the automaton whose states are masks.
-    - With atoms, a sub may follow when its feasibility answer is true,
-      and that answer is a function of the signature and sub
-      (``_clock_memo``).  So is the child's signature: its step is
-      min(c + 1, C + 1), which the parent's capped step decides; its open
-      mask is sub; its ages are the parent's ages advanced by one and
-      capped at W + 2, then the new pins (the labels of A \\ sub) at age
-      1, each kept only if it shares a difference edge with a label of
-      sub.  The parent's signature already left out every pin with no
-      edge to A, and such a pin has none to sub ⊆ A either.  So two
-      chains with one prefix and one signature have the same feasible
-      continuations.  Each signature keeps the step and the pins of the
-      first chain that reached it, which serve only to ask ``solve_min``
-      on a memo miss.
+    - With atoms, the subs that may follow and the child signatures are
+      the signature's list in ``_clock_memo``, a function of the
+      signature, so two chains with one prefix and one signature have the
+      same feasible continuations.  Each numbered signature keeps the
+      chain (c, pins) that first reached it here; ``_clock_memo`` reads it
+      only to build a list it does not hold yet.
 
     The memo outlives the automaton, so ``solve_min`` counts are
     first-call counts: ``project_set(fig2_set(), 30)`` makes 36 calls from
     an empty memo, and none again while the memo holds that system."""
 
-    __slots__ = ("offset", "_build")
+    __slots__ = ("offset", "D", "_build")
 
     def __init__(self, F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int):
         n = len(F._coeffs)
         msum, self.offset = _scaled_parts(F, k, D)
+        self.D = D
         full = (1 << n) - 1
 
-        def mask_moves(first: bool, states: int) -> List[Tuple[int, int]]:
+        def mask_moves(states: int) -> List[Tuple[int, int]]:
             children: Dict[int, int] = {}
             while states:
                 low = states & -states
@@ -758,60 +799,41 @@ class _ProfileAutomaton(dict):
                 open_mask = sub = low.bit_length() - 1
                 while True:
                     children[msum[sub]] = children.get(msum[sub], 0) | 1 << sub
-                    if sub == 0 or first:
+                    if sub == 0:
                         break
                     sub = (sub - 1) & open_mask
             return list(children.items())
 
-        def signature_moves(first: bool, states: int) -> List[Tuple[int, int]]:
+        def signature_moves(states: int) -> List[Tuple[int, int]]:
             children: Dict[int, int] = {}
             while states:
                 low = states & -states
                 states ^= low
                 number = low.bit_length() - 1
-                capped, open_mask, ages = signature = signatures[number]
-                c, pins = chains[number]
-                feasible = memo.setdefault(signature, {})
-                step = min(capped + 1, C + 1)
-                older = [(l, min(a + 1, W + 2)) for l, a in ages]
-                sub = open_mask
-                while True:
-                    if (ok := feasible.get(sub)) is not False:
-                        left = open_mask ^ sub
-                        new = [(labels[i], c) for i in range(n) if left >> i & 1] if left else []
-                        if ok is None:
-                            pinned = dict(pins + tuple(new))
-                            lower = dict.fromkeys(labels, c + 1)  # every label not pinned is in sub
-                            lower.update(pinned)
-                            ok = feasible[sub] = solve_min(labels, atoms, lower=lower, upper=pinned) is not None
-                        if ok:
-                            edges, aged = reach[sub], ()
-                            if edges:
-                                aged = tuple([(l, a) for l, a in older + [(l, 1) for l, _ in new] if edges >> l & 1])
-                            grown = (step, sub, aged)
-                            child = numbers.setdefault(grown, len(signatures))
-                            if child == len(signatures):
-                                signatures.append(grown)
-                                chains.append((c + 1, pins + tuple(new)))
-                            children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
-                    if sub == 0 or first:
-                        break
-                    sub = (sub - 1) & open_mask
+                signature, (c, pins) = signatures[number], chains[number]
+                for sub, grown in successors(signature, c, pins):
+                    child = numbers.setdefault(grown, len(signatures))
+                    if child == len(signatures):
+                        signatures.append(grown)
+                        left = signature[1] ^ sub
+                        chains.append((c + 1, pins + tuple([(labels[i], c) for i in range(n) if left >> i & 1])))
+                    children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
             return list(children.items())
 
         if atoms:
             labels = F.labels
-            C, W, reach, memo = _clock_memo(labels, atoms)
+            successors = _clock_memo(labels, atoms)
             signatures = [(0, full, ())]  # state i is signatures[i], first reached by chains[i]
             chains = [(0, ())]
             numbers = {signatures[0]: 0}
-            self._build, start = signature_moves, 1
+            self._build = signature_moves
+            self[_START] = signature_moves(1)
         else:
-            self._build, start = mask_moves, 1 << full
-        self[_START] = self._build(True, start)
+            self._build = mask_moves
+            self[_START] = [(msum[full], 1 << full)]
 
     def __missing__(self, states: int) -> List[Tuple[int, int]]:
-        moves = self[states] = self._build(False, states)
+        moves = self[states] = self._build(states)
         return moves
 
 
@@ -885,134 +907,81 @@ def _transfer_counts(X, K: int) -> List[int]:
     return counts
 
 
-def _capped_sweep(F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int, target: GammaElement):
-    """The capped index profiles of F at depths 1..k whose values agree
-    with target: yields, after each coordinate c = 0..k-1, the set of
-    (open mask, pins) states of depth c + 1.
-
-    It follows the chains of ``_ProfileAutomaton``, with D as there, but keeps
-    only the children whose value equals the target's coordinate c, so
-    every state has the target's prefix, and a target coordinate outside
-    (1/D)Z matches no state.  Without atoms no pins are kept, and states
-    with one open mask merge.  With atoms a child must also pass the
-    feasibility test of ``_clock_memo``, whose memo the walks share: the
-    target only filters children by value and never enters an answer, so
-    a targeted sweep merely asks about fewer subs.  Each state keeps its
-    concrete pins, which ``_holds_other_point`` reads to build its
-    points, so chains with one signature are not merged here."""
-    labels = F.labels
-    n = len(labels)
-    msum, offset = _scaled_parts(F, k, D)
-    d, nums = target.prefix_numerators(k)
-    want = [None if c * D % d else c * D // d - shift for c, shift in zip(nums, offset)]
-    if atoms:
-        C, W, reach, memo = _clock_memo(labels, atoms)
-
-    full = (1 << n) - 1
-    states = {(full, ())}  # the empty chain, before coordinate 0
-    for c in range(k):
-        goal = want[c]
-        grown = set()
-        for open_mask, pins in states:
-            if atoms:
-                edges = reach[open_mask]
-                ages = tuple((l, min(c - p, W + 2)) for l, p in pins if edges >> l & 1)
-                feasible = memo.setdefault((min(c, C + 1), open_mask, ages), {})
-            sub = open_mask
-            while True:
-                if msum[sub] == goal:
-                    if not atoms:
-                        grown.add((sub, pins))
-                    elif (ok := feasible.get(sub)) is not False:
-                        left = open_mask ^ sub
-                        pinned = pins + tuple((labels[i], c) for i in range(n) if left >> i & 1)
-                        if ok is None:
-                            lower = dict.fromkeys(labels, c + 1)  # every label not pinned is in sub
-                            lower.update(pinned)
-                            ok = feasible[sub] = solve_min(labels, atoms, lower=lower, upper=dict(pinned)) is not None
-                        if ok:
-                            grown.add((sub, pinned))
-                if sub == 0 or c == 0:  # A_0 = I, as every n_i >= 1
-                    break
-                sub = (sub - 1) & open_mask
-        states = grown
-        yield states
-
-
-def _last_layer(X, K: int, target: GammaElement):
-    """The targeted sweeps (``_capped_sweep``) of every component of X to
-    depth K, in lockstep over one common denominator: returns (parts,
-    layer) with parts ``_component_parts(X)`` and layer each component's
-    depth-K states in the order of parts, or () from the first empty
-    layer on, since a state at depth k grows from one at depth k - 1."""
-    parts = _component_parts(X)
-    D = _denominator(parts, K)
-    layer = ()
-    for layer in zip(*[_capped_sweep(F, atoms, K, D, target) for F, atoms in parts]):
-        if not any(layer):
-            return parts, ()
-    return parts, layer
-
-
 # -- the limit-point probe ----------------------------------------------------
 
 
-def _holds_other_point(F: PsiFunction, atoms, states, k: int, gamma: GammaElement) -> bool:
-    """Whether some capped-profile state of F (capped mask, pins) whose
-    points agree with gamma on the first k coordinates holds a point other
-    than gamma.
+def _along(F: PsiFunction, atoms: Tuple[Atom, ...], gamma: GammaElement, K: int):
+    """(auto, states): the automaton of the component F under atoms, read
+    to depth K over D = ``_denominator`` of that component at K, and the
+    state set of its points that agree with gamma on the first K
+    coordinates, found by following gamma's coordinates from the start.
+    The state set is 0 if no point agrees: the path ends at the first
+    coordinate that no move matches, and one outside (1/D)Z matches
+    none."""
+    auto = _ProfileAutomaton(F, atoms, K, _denominator([(F, atoms)], K))
+    D = auto.D
+    d, nums = gamma.prefix_numerators(K)
+    states = _START
+    for num, shift in zip(nums, auto.offset):
+        goal, rem = divmod(num * D, d)
+        if rem:
+            return auto, 0
+        goal -= shift
+        for symbol, child in auto[states]:
+            if symbol == goal:
+                states = child
+                break
+        else:
+            return auto, 0
+    return auto, states
 
-    With atoms the answer comes from the least solution and its unit
-    pushes, and it is exact.  Let S be the solutions of the state's
-    system (pins fixed, capped labels >= k), x its least solution, which
-    ``solve_min`` returns, and x^l the least solution with n_l >= x_l + 1.
-    Claim: some point of S has F != F(x) iff some x^l does.
 
-    (a) E_{n+1} - E_n = e_n, so F(x + 1_R) - F(x) is the sum of q_i e_{x_i}
-        over i in R.  It is zero iff, at each position p, the q_i of the
-        labels i in R with x_i = p sum to 0.
-    (b) Let R(l) be the least label set that holds l and holds j whenever
-        it holds i and the edge n_i - n_j <= c between two labels is tight
-        at x.  Every point of S is >= x, and one with n_l > x_l is
-        >= x + 1_{R(l)}, which meets every edge between two labels.  So
-        x^l = x + 1_{R(l)}, or x^l does not exist because R(l) holds a
-        label whose edge to the zero node is tight (a pin or an upper
-        bound); then n_l = x_l on all of S.
-    (c) If i is in R(j) and j in R(i), the tight edges close a cycle of
-        weight 0, so n_i - n_j is the same on all of S: each class of
-        mutual reachability moves as one, by a shift t >= 0 from x.
-    (d) Suppose every x^l that exists has F(x^l) = F(x).  The labels with
-        an x^l are closed under reachability, so induction up the acyclic
-        order of their classes with (a) gives, in each class K and at each
-        position p, a zero sum of the q_i with x_i = p.  Hence the sum of
-        q_i E_{x_i + t} over K is 0 for every t, the other labels never
-        move, and F is constant on S.
+def _leaves(F: PsiFunction, atoms: Tuple[Atom, ...], gamma: GammaElement, K: int) -> bool:
+    """Whether the component F under atoms has a point other than gamma
+    that agrees with gamma on the first K coordinates: whether the
+    automaton's path along gamma branches off at some coordinate c >= K.
 
-    So it suffices to compare F(x) with gamma and then push each capped
-    label once; a pinned label cannot move.  True is only returned at an
-    explicit point whose value differs from gamma."""
-    if not atoms:
-        # A capped label makes the family take infinitely many distinct
-        # values.  With none capped every n_i < k, and E_{n_i} touches no
-        # coordinate >= k - 1, so the point equals gamma iff the offset
-        # agrees with gamma on every coordinate >= k, whatever the pins.
-        if any(capped for capped, _ in states):
+    The walk goes on from ``_along``'s state set at c = K.  A state set
+    with two moves or more answers True: its symbols are distinct, so one
+    of them leaves gamma's path.  A single move whose symbol differs from
+    D (gamma - offset)_c answers True too.  Otherwise the walk follows
+    the move, and at a state set it has seen it answers whether
+    gamma - offset has a nonzero coordinate past c.
+    1. Every state set the walk reaches holds a chain with a completion,
+       a point of the component: without atoms every chain completes, and
+       a signature chain was kept because ``solve_min`` found a
+       completion.  So a move off gamma's path at c >= K is a point other
+       than gamma that agrees with gamma below K.  Conversely, every such point leaves the path at some c >= K, where
+       its state set has that point's symbol among its moves.
+    2. A state set's moves do not depend on c.  Once only single moves
+       are left, each step is fixed by the state set alone, and a repeat
+       closes a cycle that every chain reaching it follows for ever.  A
+       completion has finite support, so the cycle reads only 0, and it
+       stays on gamma's path iff gamma - offset is 0 from there on.
+    gamma - offset is read sparsely, from its nonzero coordinates past
+    K, and only once a state set has a single move."""
+    auto, states = _along(F, atoms, gamma, K)
+    if not states:
+        return False
+    seen = {states}
+    ahead = None  # D (gamma - offset)_c at its nonzero coordinates c >= K, the nearest last
+    c = K
+    while True:
+        moves = auto[states]
+        if len(moves) > 1:
             return True
-        diff = F.offset - gamma
-        return bool(states) and not diff.is_zero and diff.last_index >= k
-    labels = F.labels
-    for capped, pins in states:
-        upper = dict(pins)
-        free = [l for i, l in enumerate(labels) if capped >> i & 1]
-        # never None: the sweep and derived_set only ask about satisfiable states
-        least = solve_min(labels, atoms, lower={**upper, **dict.fromkeys(free, k)}, upper=upper)
-        if F.evaluate(least) != gamma:
-            return True
-        for l in free:
-            pushed = solve_min(labels, atoms, lower={**least, l: least[l] + 1}, upper=upper)
-            if pushed is not None and F.evaluate(pushed) != gamma:
+        symbol, states = moves[0]
+        if ahead is None:
+            ahead = [(i, auto.D * q) for i, q in reversed((gamma - F.offset).items()) if i >= K]
+        if ahead and ahead[-1][0] == c:
+            if symbol != ahead.pop()[1]:
                 return True
-    return False
+        elif symbol:
+            return True
+        if states in seen:
+            return bool(ahead)
+        seen.add(states)
+        c += 1
 
 
 def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
@@ -1020,26 +989,22 @@ def limit_point_probe(gamma: GammaElement, X, K: int) -> bool:
     gamma on the first k coordinates.
 
     A point that matches gamma on the first K coordinates matches it on
-    every shorter prefix, so only depth K is asked.  The sweeps of
-    ``_last_layer`` target gamma, so a chain is cut at the first coordinate
-    that leaves it, and the probe is False at the first empty layer.
-    Their feasibility answers are memoized per clock signature
-    (``_clock_memo``), and there are finitely many signatures once the
-    step passes the largest ``ge``/``le`` constant and the pin ages pass
-    the largest difference constant.  So the sweep's ``solve_min`` calls
-    no longer grow with K once those caps are reached (from an empty memo,
-    7 for ``fig2_set()`` toward 0 at K = 10 and at K = 60); what still
-    grows is one pass over the surviving states per coordinate.  The memo
-    is kept per constraint system across calls, so repeated probes of one
-    set share it: seven probes of ``fig2_set()`` toward 0 and e_1..e_6 at
-    K = 30 make 25 ``solve_min`` calls in all, 7 of them from
-    ``_holds_other_point``, against 116 with a memo per call."""
+    every shorter prefix, so only depth K is asked, of each component in
+    turn (``_leaves``): the probe is False for a component whose path
+    along gamma ends before depth K.  The successor lists of the
+    constrained automata are memoized per constraint system
+    (``_clock_memo``), and each signature's list asks ``solve_min`` once
+    for every sub of its open mask.  There are finitely many signatures,
+    so the calls do not grow with K: from an empty memo, the probe of
+    ``fig2_set()`` toward 0, e_1 and e_6 makes 17, 33 and 33 calls at
+    every K from 10 to 60.  The memo is kept across calls, so seven probes
+    of ``fig2_set()`` toward 0 and e_1..e_6 at K = 30 make 33 calls from an
+    empty memo, and none when repeated."""
     if json_int(K, "probe depth must be an integer") < 1:
         raise ValueError("probe depth must be >= 1")
     if not isinstance(gamma, GammaElement):
         raise ValueError("the limit-point probe takes a group element")
-    parts, layer = _last_layer(X, K, gamma)
-    return any(_holds_other_point(F, atoms, states, K, gamma) for (F, atoms), states in zip(parts, layer))
+    return any(_leaves(F, atoms, gamma, K) for F, atoms in _component_parts(X))
 
 
 # -- recovery from probe evaluations -------------------------------------------

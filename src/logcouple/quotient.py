@@ -12,10 +12,10 @@ for a union), whose docstring gives the argument: the subset
 construction, and the clock signatures of constrained chains.
 ``psifun._prefix_walk`` reads it one coordinate at a time and builds
 each distinct prefix once, and ``psifun._union_walk`` runs one walk per
-component, in lockstep.  The feasibility memo of those signatures is kept per constraint system
-across calls (``psifun._clock_memo``), so ``solve_min`` counts quoted
-for a walk are first-call counts: 36 for ``project_set(fig2_set(), 30)``
-from an empty memo, and 0 when repeated.
+component, in lockstep.  The successor lists of those signatures are
+kept per constraint system across calls (``psifun._clock_memo``), so
+``solve_min`` counts quoted for a walk are first-call counts: 36 for
+``project_set(fig2_set(), 30)`` from an empty memo, and 0 when repeated.
 
 ``project_set`` keeps the distinct integer vectors of the union's last
 layer and returns them, with D, as a read-only ``QuotientImage`` and makes

@@ -33,8 +33,9 @@ from .element import (
 from .psifun import (
     Component,
     ConstrainedImage,
+    _along,
+    _component_parts,
     _components,
-    _last_layer,
     component_to_json,
     contains as image_contains,
     d_rank,
@@ -114,11 +115,12 @@ class ThickenedSmall:
 
     def contains(self, x: GammaElement) -> bool:
         """At a finite scale s^k, project(x, k) in project_set(self.core, k)
-        without building the image: the sweeps keep the chains that agree
-        with x and stop at the first empty layer (``psifun._last_layer``).
+        without building the image: whether some component's automaton
+        has a path along the first k coordinates of x (``psifun._along``).
         inf is in no thickened small set."""
         if self.thicken.is_finite:
-            return isinstance(x, GammaElement) and any(_last_layer(self.core, self.thicken.k, x)[1])
+            parts = _component_parts(self.core)
+            return isinstance(x, GammaElement) and any(_along(F, atoms, x, self.thicken.k)[1] for F, atoms in parts)
         return image_contains(self.core, x)
 
 

@@ -144,7 +144,7 @@ class TestImageVerbs:
         assert code == 0 and out.splitlines() == ["{x0 - x1 : n0 - n1 = 1}", "[]"]
 
     def test_count_table(self, capsys, fig2_file):
-        # depth 30 reaches the capped ages of the sweep's memo; k^2/2 - k/2 + 1 = 436
+        # depth 30 reaches the capped ages of the automaton's memo; k^2/2 - k/2 + 1 = 436
         for k, fit, count in [(5, [], 11), (12, ["--fit"], 67), (30, [], 436)]:
             code, out = run(capsys, "count", "--file", fig2_file, "--k", f"1..{k}", *fit)
             lines = out.strip().splitlines()
@@ -272,6 +272,7 @@ BAD_INPUTS = {
     "constrained.json": component_to_json(fig2_set()),
     "union-list.json": [component_to_json(fig2_set()), psifunction_to_json(parse_linear("x0 - x1"))],
     "empty-rep.json": {"arity": 1, "products": []},
+    "x0-rep.json": {"arity": 1, "products": [[{"kind": "small", "core": {"coeffs": {"x0": "1"}}}]]},
     "no-evals.json": {"evaluations": []},
     "no-value.json": {"evals": [{"args": [1]}]},
     "no-args.json": {"evals": [{"value": "[1]"}]},
@@ -430,6 +431,10 @@ class TestInputErrors:
             (["project", "[1]", "--k", "1..10000000000000"], "project takes a single k"),
             (["count", "--union", "x0", "--k", "1..10000000000000"], "count takes at most 1000 values of k"),
             (["count", "--union", "x0", "--k", "5..1005"], "count takes at most 1000 values of k: '5..1005'"),
+            # a walk deeper than psifun._MAX_DEPTH is refused before its first k-long list
+            (["count", "--union", "x0", "--k", "100000000"], "depth 100000000 is past the deepest supported, 4096"),
+            (["project-set", "--union", "x0", "--k", "100000000"], "depth 100000000 is past the deepest supported"),
+            (["crosscheck", "--rep", "x0-rep.json", "--phi", "s^{100000000}0"], "depth 100000000 is past the deepest"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

@@ -25,8 +25,6 @@ from logcouple.psifun import (
     PsiFunction,
     _component_parts,
     _denominator,
-    _holds_other_point,
-    _last_layer,
     component_from_json,
     component_to_json,
     contains,
@@ -50,7 +48,8 @@ from logcouple.psifun import (
     satisfies,
     solve_min,
 )
-from logcouple.quotient import project_set
+from logcouple.quotient import Phi, project, project_set
+from logcouple.sets import ThickenedSmall
 from sampled_sets import expand_solutions, sampled_equal
 
 
@@ -836,7 +835,7 @@ class TestProbe:
         assert trues > 100 and early > 100, (trues, early)
 
     def test_matches_per_profile_reference_deep(self):
-        # depths 6..8, where one sweep serves all depths; the gammas include
+        # depths 6..8, where one walk serves all depths; the gammas include
         # points moved by a seventh or an eleventh at coordinate 2 or 3,
         # mostly outside (1/D)Z for the union's common denominator D
         rng = random.Random(23)
@@ -873,36 +872,75 @@ class TestProbe:
             early,
         )
 
+    def test_matches_per_profile_reference_far(self):
+        # offsets that reach index 40 and gammas moved at coordinates up to
+        # 10**6, which the walk past K reads sparsely; the thickened set at
+        # depth K is asked about the same points
+        far = unit(10**9)
+        assert limit_point_probe(far, [fn("x0 - x1")], 8) is True
+        assert limit_point_probe(far, fig2_set(), 8) is True
+        assert limit_point_probe(far, [fn("x0 + [0, 0, 1]")], 2) is False
+        assert ThickenedSmall([fn("x0 - x1")], Phi(8)).contains(far) is True
+        rng = random.Random(29)
+        trues = falses = moved_far = 0
+        for _ in range(60):
+            X = []
+            for _ in range(rng.randint(1, 2)):
+                F = random_psifunction(rng, max_arity=3, coeff_bound=3)
+                coeffs, offset = F.coeffs, F.offset
+                if len(coeffs) >= 2 and rng.random() < 0.7:
+                    coeffs[1] = -coeffs[0]  # a zero-sum pair, so limit points exist
+                if rng.random() < 0.7:
+                    offset += unit(rng.randint(6, 40)) * Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 7]))
+                F = PsiFunction(coeffs, offset)
+                if F.labels and rng.random() < 0.5:
+                    X.append(ConstrainedImage(F, random_atoms(rng, len(F.labels))))
+                else:
+                    X.append(F)
+            plain = [comp for comp in X if isinstance(comp, PsiFunction)]
+            gammas = [ZERO] + sample_points(X, 3) + sample_points(derived_set(plain), 2)
+            for g in gammas[:4]:
+                at = rng.choice([rng.randint(2, 8), 40, 10**6])
+                gammas.append(g + unit(at) * rng.choice([1, -1, Fraction(1, 2), Fraction(1, 7)]))
+                moved_far += at > 8
+            for gamma in gammas:
+                K = rng.randint(1, 5)
+                got = limit_point_probe(gamma, X, K)
+                assert got == (reference_probe_depth(gamma, X, K) is None), (X, gamma, K)
+                assert ThickenedSmall(X, Phi(K)).contains(gamma) == (project(gamma, K) in project_set(X, K))
+                trues += got
+                falses += not got
+        assert trues > 100 and falses > 100 and moved_far > 100, (trues, falses, moved_far)
+
     def test_asks_depth_k_only(self, monkeypatch):
-        # every state the probe asks is at depth K, and a probe whose sweep
-        # empties before depth K asks none
+        # the probe follows gamma's path to depth K alone, once per
+        # component, and a probe whose path ends before depth K is False
         calls = []
-        holds = psifun._holds_other_point
+        along = psifun._along
 
-        def recording(F, atoms, states, k, gamma):
-            calls.append(k)
-            return holds(F, atoms, states, k, gamma)
+        def recording(F, atoms, gamma, K):
+            calls.append(K)
+            return along(F, atoms, gamma, K)
 
-        monkeypatch.setattr(psifun, "_holds_other_point", recording)
+        monkeypatch.setattr(psifun, "_along", recording)
         X = fig2_set()
         for gamma, K, want in [(ZERO, 8, True), (unit(3), 12, True), (unit(1) + unit(2), 8, False)]:
             calls.clear()
             assert limit_point_probe(gamma, X, K) is want
-            assert calls and set(calls) == {K}, (gamma, K, calls)
+            assert calls == [K], (gamma, K, calls)
         # e_1 + e_2 is a point of X; a seventh at coordinate 4 leaves every
-        # chain at depth 5, after states at depths 1..4
+        # chain at depth 5, after a state set at depth 4
         gamma = unit(1) + unit(2) + unit(4) * Fraction(1, 7)
-        assert any(_last_layer(X, 4, gamma)[1])
+        assert along(X.base, X.constraints, gamma, 4)[1]
         for X, gamma in [(X, gamma), ([fn("x0 - x1")], el("[1]")), ([fn("x0 - x1"), fn("x0 + [0, 1]")], el("[2]"))]:
-            calls.clear()
+            assert not any(along(F, atoms, gamma, 8)[1] for F, atoms in _component_parts(X)), (X, gamma)
             assert limit_point_probe(gamma, X, 8) is False
-            assert calls == [], (X, gamma, calls)
 
     def test_targeted_sweep_asks_the_same_at_every_depth(self, monkeypatch):
-        # the clock-signature memo serves the targeted sweep too: past the
-        # caps on the step and on the pin ages, a deeper sweep asks
-        # solve_min nothing new.  The memo outlives a sweep, so each count
-        # starts from a cleared one, and a warm second sweep asks nothing
+        # the probe's successor lists come from the clock-signature memo:
+        # past the caps on the step and on the pin ages, a deeper probe asks
+        # solve_min nothing new.  The memo outlives a probe, so each count
+        # starts from a cleared one, and a warm second probe asks nothing
         calls = []
         solve = psifun.solve_min
 
@@ -916,34 +954,46 @@ class TestProbe:
             for K in (20, 60):
                 psifun._clock_memo.cache_clear()
                 calls.clear()
-                assert any(_last_layer(fig2_set(), K, gamma)[1])
+                assert limit_point_probe(gamma, fig2_set(), K) is True
                 asked.append(len(calls))
             assert asked[0] == asked[1] > 0, (gamma, asked)
             calls.clear()
-            assert any(_last_layer(fig2_set(), 60, gamma)[1])
+            assert limit_point_probe(gamma, fig2_set(), 60) is True
             assert calls == [], (gamma, len(calls))
 
     @staticmethod
     def _check_state(F, atoms, pins, k, gamma):
-        capped = sum(1 << i for i, l in enumerate(F.labels) if l not in dict(pins))
-        got = _holds_other_point(F, atoms, [(capped, pins)], k, gamma)
+        # the probe at depth k on one capped-profile state: F under atoms
+        # with each pin fixed and each capped label at least k, one
+        # component whose points share their first k coordinates, which
+        # gamma must share too
+        pinned = dict(pins)
+        capped = [l for l in F.labels if l not in pinned]
+        state = atoms + tuple(Atom(kind, i=l, c=v) for l, v in pins for kind in ("ge", "le"))
+        state += tuple(Atom("ge", i=l, c=k) for l in capped)
+        got = limit_point_probe(gamma, ConstrainedImage(F, state), k)
         assert got == brute_other_point(F, atoms, pins, k, gamma), (F, atoms, pins, k, gamma)
-        capped_labels = [l for l in F.labels if l not in dict(pins)]
-        assert got == _has_nongamma_value(F, atoms, dict(pins), capped_labels, k, gamma)
+        assert got == _has_nongamma_value(F, atoms, pinned, capped, k, gamma)
         return got
 
     def test_push_test_matches_wide_window(self):
+        # each state is probed at its least solution's value and at that
+        # value moved at a coordinate >= k, near or far, where the walk past
+        # k must find the move on a state whose map is constant too
         rng = random.Random(17)
-        counts = {"true": 0, "false": 0, "constant": 0, "outside old window": 0}
+        counts = {"moves": 0, "constant": 0, "moved far": 0, "outside old window": 0}
         for _ in range(1000):
             F, atoms, pins, k = random_state(rng)
             least = state_least(F, atoms, pins, k)
             if least is None:
-                continue  # the sweep never yields an unsatisfiable state
-            counts["true" if self._check_state(F, atoms, pins, k, ZERO) else "false"] += 1
-            moves = self._check_state(F, atoms, pins, k, F.evaluate(least))
-            counts["true" if moves else "false"] += 1
-            counts["constant"] += not moves
+                continue  # a state the walk reaches is satisfiable
+            value = F.evaluate(least)
+            moves = self._check_state(F, atoms, pins, k, value)
+            counts["moves" if moves else "constant"] += 1
+            at = rng.choice([k, k + rng.randint(1, 6), 10**6])
+            moved = value + unit(at) * rng.choice([1, -1, Fraction(1, 2), Fraction(1, 7)])
+            assert self._check_state(F, atoms, pins, k, moved) is True
+            counts["moved far"] += at == 10**6
             counts["outside old window"] += not old_window_holds_solution(F, atoms, pins, k)
         assert min(counts.values()) > 25, counts
 

@@ -285,7 +285,7 @@ class TestProjectSet:
                 assert all(len(vec) == k for vec in got)
 
     def test_matches_capped_profile_oracle(self):
-        # the sweep asks solve_min once per residual system signature, with
+        # the automaton asks solve_min once per signature and sub, with
         # ages capped at W + 2 and the step at C + 1; constants up to 5 and
         # depths up to 12 reach ages past both caps, and the second
         # component has the first one's map, so the two share vectors
@@ -304,7 +304,7 @@ class TestProjectSet:
             assert count_function(X, range(1, k + 1)) == [
                 (j, len({v[:j] for v in want})) for j in range(1, k + 1)
             ], (X, k)
-            # the targeted sweep shares the memo: a point is in the thickened
+            # the path walk shares the memo: a point is in the thickened
             # set at s^k iff its first k coordinates are a vector of want,
             # whatever follows them
             thick = ThickenedSmall(X, Phi(k))

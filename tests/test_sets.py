@@ -185,7 +185,7 @@ class TestMember:
         assert hits > 100 and misses > 100 and off_grid > 100
 
     def test_thickened_member_constrained_cores(self):
-        # the targeted sweep against the whole image: cores that always hold
+        # the path walk against the whole image: cores that always hold
         # a constrained component, points of the unconstrained maps (some
         # meet the atoms, some do not), and those points moved off the grid
         # by 1/11
