@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -491,12 +492,9 @@ def _zero_partitions(mask: int, msum) -> Iterable[List[int]]:
 def _subset_sums(qs: Sequence) -> list:
     """The sum of qs over every nonempty bit mask of positions, indexed by
     mask, in the type of qs (Fractions or integers); msum[0] is 0."""
-    msum = [0] * (1 << len(qs))
-    for mask in range(1, len(msum)):
-        low = mask & -mask
-        rest = mask ^ low
-        q = qs[low.bit_length() - 1]
-        msum[mask] = msum[rest] + q if rest else q
+    msum = [0]
+    for q in qs:
+        msum += [s + q for s in msum]
     return msum
 
 
@@ -615,12 +613,13 @@ def _scaled(vec: Sequence[Fraction], D: int) -> List[Optional[int]]:
 @functools.lru_cache(maxsize=64)
 def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
     """The successor memo of one constraint system, shared by every
-    ``_ProfileAutomaton`` of it: a function successors(signature, c, pins)
-    that returns the list of (sub, child signature) pairs of the subs that
-    may follow a chain with that signature, in decreasing order of sub.
-    The list is built from the chain (c, pins) of the first caller with
-    that signature and kept; a later caller's chain is not read.  The
-    cache keeps the 64 systems used last.
+    ``_ProfileAutomaton`` of it: a function successors(number) that
+    returns the list of (sub, child number) pairs of the subs that may
+    follow a chain whose signature has that number, in decreasing order of
+    sub.  Number 0 is the start signature (0, I, ()); a child is
+    numbered, and its chain (c + 1, pins) kept, when the first list that
+    holds it is built, and its own list is built once, from that chain.
+    The cache keeps the 64 systems used last.
 
     Let C be the largest of 0 and the constants of the ``ge``/``le``
     atoms, and W the largest of 0 and the |constants| of the
@@ -670,15 +669,17 @@ def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
       tuple.
     - Memory.  A system has finitely many signatures (the step is capped
       at C + 1, the open mask is one of 2^|labels|, and each pin age at
-      W + 2), each with a list of at most 2^|labels| subs, and the cache
-      keeps a fixed number of systems, so the memo is bounded whatever the
-      depths asked.  ``solve_min`` is asked once per signature and sub.
-    - Threads.  The memo is only read and written by single ``dict`` get
-      and setitem calls, each atomic, and every list is a deterministic
-      function of its signature, so two callers racing on one signature
-      at worst both build its list and store equal ones.  Two first calls
-      racing on one system may build two memos; the cache keeps one, and
-      the other only loses its lists."""
+      W + 2), each with one number, one chain and a list of at most
+      2^|labels| subs, and the cache keeps a fixed number of systems, so
+      the memo is bounded whatever the depths asked.  ``solve_min`` is
+      asked once per signature and sub.
+    - Threads.  A missing list is built, numbering included, under the
+      system's lock, taken only after a miss and checking the memo again:
+      without it two callers could give two signatures one number.  A hit
+      is one atomic ``dict`` get, and a list is stored after its
+      children's signatures and chains.  Two first calls racing on one
+      system may build two memos; the cache keeps one, and an automaton
+      keeps the one it was given, so its numbers never mix."""
     n = len(labels)
     C = W = 0
     near = dict.fromkeys(labels, 0)
@@ -693,12 +694,21 @@ def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
     for mask in range(1, len(reach)):
         low = mask & -mask
         reach[mask] = reach[mask ^ low] | near[labels[low.bit_length() - 1]]
-    memo: Dict[tuple, List[Tuple[int, tuple]]] = {}
+    signatures = [(0, (1 << n) - 1, ())]  # number i is signatures[i], first reached by chains[i]
+    chains = [(0, ())]
+    numbers = {signatures[0]: 0}
+    memo: Dict[int, List[Tuple[int, int]]] = {}
+    lock = threading.Lock()
 
-    def successors(signature: tuple, c: int, pins: tuple) -> List[Tuple[int, tuple]]:
-        moves = memo.get(signature)
-        if moves is None:
-            capped, open_mask, ages = signature
+    def successors(number: int) -> List[Tuple[int, int]]:
+        moves = memo.get(number)
+        if moves is not None:
+            return moves
+        with lock:
+            if number in memo:
+                return memo[number]
+            capped, open_mask, ages = signatures[number]
+            c, pins = chains[number]
             step = min(capped + 1, C + 1)
             older = [(l, min(a + 1, W + 2)) for l, a in ages]
             moves = []
@@ -711,13 +721,17 @@ def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
                 lower.update(pinned)
                 if solve_min(labels, atoms, lower=lower, upper=pinned) is not None:
                     edges = reach[sub]
-                    aged = tuple([(l, a) for l, a in older + [(l, 1) for l, _ in new] if edges >> l & 1])
-                    moves.append((sub, (step, sub, aged)))
+                    grown = (step, sub, tuple([(l, a) for l, a in older + [(l, 1) for l, _ in new] if edges >> l & 1]))
+                    child = numbers.setdefault(grown, len(signatures))
+                    if child == len(signatures):
+                        signatures.append(grown)
+                        chains.append((c + 1, pins + tuple(new)))
+                    moves.append((sub, child))
                 if sub == 0 or capped == 0:
                     break
                 sub = (sub - 1) & open_mask
-            memo[signature] = moves
-        return moves
+            memo[number] = moves
+            return moves
 
     return successors
 
@@ -758,11 +772,11 @@ class _ProfileAutomaton(dict):
     offset_c plus the symbol, so one step's distinct symbols are distinct
     values.  A prefix's state set holds the state of every chain with
     that prefix, as a nonzero int with one bit per state: the mask itself
-    without atoms, and the signature's number in this object's order of
-    first reach with them.  The moves of a state set join, for each
-    symbol, the child states of its members, so one state set's moves
-    have distinct symbols, and the state set of a prefix follows from its
-    symbols.  Step 0 has one parent, the empty chain, whose moves are
+    without atoms, and the signature's number in ``_clock_memo`` with
+    them.  The moves of a state set join, for each symbol, the child
+    states of its members, so one state set's moves have distinct
+    symbols, and the state set of a prefix follows from its symbols.
+    Step 0 has one parent, the empty chain, whose moves are
     ``_START``'s; every later step shares the map: a mask's moves are the
     same at every step from 1 on, and a signature holds its own step,
     capped at C + 1, which is all its moves read of the step.
@@ -775,9 +789,7 @@ class _ProfileAutomaton(dict):
     - With atoms, the subs that may follow and the child signatures are
       the signature's list in ``_clock_memo``, a function of the
       signature, so two chains with one prefix and one signature have the
-      same feasible continuations.  Each numbered signature keeps the
-      chain (c, pins) that first reached it here; ``_clock_memo`` reads it
-      only to build a list it does not hold yet.
+      same feasible continuations.
 
     The memo outlives the automaton, so ``solve_min`` counts are
     first-call counts: ``project_set(fig2_set(), 30)`` makes 36 calls from
@@ -809,23 +821,12 @@ class _ProfileAutomaton(dict):
             while states:
                 low = states & -states
                 states ^= low
-                number = low.bit_length() - 1
-                signature, (c, pins) = signatures[number], chains[number]
-                for sub, grown in successors(signature, c, pins):
-                    child = numbers.setdefault(grown, len(signatures))
-                    if child == len(signatures):
-                        signatures.append(grown)
-                        left = signature[1] ^ sub
-                        chains.append((c + 1, pins + tuple([(labels[i], c) for i in range(n) if left >> i & 1])))
+                for sub, child in successors(low.bit_length() - 1):
                     children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
             return list(children.items())
 
         if atoms:
-            labels = F.labels
-            successors = _clock_memo(labels, atoms)
-            signatures = [(0, full, ())]  # state i is signatures[i], first reached by chains[i]
-            chains = [(0, ())]
-            numbers = {signatures[0]: 0}
+            successors = _clock_memo(F.labels, atoms)
             self._build = signature_moves
             self[_START] = signature_moves(1)
         else:

@@ -23,11 +23,9 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 from .element import (
     GammaElement,
     INF,
-    compare,
     format_element,
     json_int,
     parse_element,
-    psi,
     unit,
 )
 from .psifun import (
@@ -205,10 +203,12 @@ def dim_product(factors: Sequence[UnaryRep], phi: Phi):
 
 def _wide_width(width: Optional[GammaElement], phi: Phi) -> bool:
     # width None encodes an unbounded marker: automatically wide since the
-    # subgroup is proper
-    if width is None:
+    # subgroup is proper; every psi value is at most phi = inf.  Otherwise
+    # psi(width) <= E_k: psi(0) is INF, and psi(width) is E_{n+1} for the
+    # leading index n, with E_a <= E_b iff a <= b; E_k itself is not built
+    if width is None or phi.k is None:
         return True
-    return compare(psi(width), phi.as_element()) <= 0
+    return not width.is_zero and width.leading_index + 1 <= phi.k
 
 
 def _component_wide(comp: UnaryComponent, phi: Phi) -> bool:

@@ -267,6 +267,14 @@ class TestSetVerbs:
         code, out = run(capsys, "crosscheck", "--rep", fig2_rep_file, "--phi", "inf")
         assert code == 0 and out.strip() == "inf\tdimA=0\tdimB=0\tok\td_rank=3"
 
+    def test_crosscheck_interval_at_a_far_scale(self, capsys, tmp_path):
+        # route B reads the width's leading index against k, so a far scale
+        # builds no k-long staircase point
+        path = tmp_path / "interval.json"
+        path.write_text(json.dumps({"products": [[{"kind": "interval", "lo": "[]", "hi": "[1]"}]]}))
+        code, out = run(capsys, "crosscheck", "--rep", str(path), "--phi", "s^{100000000}0")
+        assert (code, out) == (0, "s^{100000000}0\tdimA=1\tdimB=1\tok\n")
+
 
 BAD_INPUTS = {
     "constrained.json": component_to_json(fig2_set()),

@@ -689,10 +689,6 @@ def shared_queries(rng, systems):
     return queries
 
 
-def probe_answers(cases):
-    return [psifun.limit_point_probe(gamma, X, K) for gamma, X, K in cases]
-
-
 class TestSharedClockMemo:
     def test_shared_answers_match_a_cold_memo_and_the_oracles(self):
         # one (labels, atoms) serves maps with other coefficients and
@@ -713,27 +709,50 @@ class TestSharedClockMemo:
         assert sum(bools) > 60 and len(bools) - sum(bools) > 60, (sum(bools), len(bools))
 
     def test_threads_share_one_memo(self):
-        # more threads than cores, switching often, probe from a cleared
-        # memo; a lost or wrong memo entry would change an answer
+        # more threads than cores, switching often, released at once on
+        # one constraint system at a time from a cleared memo, four rounds
+        # per system: each asks its own maps and targets, so the threads
+        # build the lists of different signatures of one system side by
+        # side and number new signatures at the same time; a lost entry,
+        # or two signatures given one number, would change an image or a
+        # probe
         rng = random.Random(89)
-        cases = [(g, fig2_set(), 12) for g in [ZERO] + [GammaElement({i: Fraction(1)}) for i in range(1, 7)]]
-        for labels, atoms in shared_systems(rng, 4):
-            X = [ConstrainedImage(PsiFunction({l: rng.choice([-1, 1, 2]) for l in labels}), atoms), fig2_set()]
-            cases += [(g, X, rng.randint(4, 10)) for g in [ZERO] + psifun.sample_points(X, 3)]
+        fig2 = fig2_set()
+        systems = [(fig2.base.labels, fig2.constraints)] + shared_systems(rng, 4)
+        groups = []
+        for labels, atoms in systems:
+            group = []
+            for _ in range(4):
+                X = [ConstrainedImage(PsiFunction({l: rng.choice([-2, -1, 1, 2]) for l in labels}), atoms)]
+                k = rng.randint(5, 7)
+                group.append(lambda X=X, k=k: sorted(project_set(X, k)))
+                for gamma in [ZERO] + psifun.sample_points(X, 2):
+                    group.append(lambda gamma=gamma, X=X, k=k: psifun.limit_point_probe(gamma, X, k))
+            groups.append(group)
         psifun._clock_memo.cache_clear()
-        serial = probe_answers(cases)
-        index = list(range(len(cases)))
-        orders = [index, index[::-1], index[1::2] + index[::2], index[::2] + index[1::2]]
-        results = [None] * len(orders)
+        serial = [[call() for call in group] for group in groups]
+        threads_count = rounds = 4
+        results = [[] for _ in range(threads_count)]
+        barrier = threading.Barrier(threads_count)
 
         def work(t):
-            results[t] = probe_answers([cases[i] for i in orders[t]])
+            try:
+                for group in groups * rounds:
+                    if t == 0:
+                        psifun._clock_memo.cache_clear()
+                    barrier.wait()
+                    shift = t * len(group) // threads_count
+                    answers = {i: group[i]() for i in list(range(shift, len(group))) + list(range(shift))}
+                    results[t].append([answers[i] for i in range(len(group))])
+                    barrier.wait()
+            except BaseException:
+                barrier.abort()  # the other threads stop at their next wait
+                raise
 
-        psifun._clock_memo.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(orders))]
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(threads_count)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -741,9 +760,10 @@ class TestSharedClockMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        for order, got in zip(orders, results):
-            assert got == [serial[i] for i in order]
-        assert any(serial) and not all(serial)
+        for got in results:
+            assert got == serial * rounds
+        bools = [got for answers in serial for got in answers if isinstance(got, bool)]
+        assert any(bools) and not all(bools)
 
 
 class TestCertificate:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcouple.element import INF, ZERO, GammaElement, parse_element, psi_point
+from logcouple.element import INF, ZERO, GammaElement, compare, parse_element, psi, psi_point
 from logcouple.psifun import (
     Atom,
     ConstrainedImage,
@@ -22,6 +22,7 @@ from logcouple.sets import (
     NaryRep,
     ThickenedSmall,
     UnaryRep,
+    _wide_width,
     dim,
     dim_product,
     has_wide_box,
@@ -132,6 +133,23 @@ class TestWideBox:
         skinny = UnaryRep([ThickenedSmall([PSI])])
         assert has_wide_box(product_rep(wide, wide), Phi(2)) is True
         assert has_wide_box(product_rep(wide, skinny), Phi(2)) is False
+
+    def test_wide_width_matches_the_valuation_comparison(self):
+        # the leading-index form agrees with psi(width) <= E_k built in
+        # full, zero widths and phi = inf included
+        rng = random.Random(97)
+        widths = [ZERO, None]
+        for _ in range(200):
+            coords = {i: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for i in rng.sample(range(12), rng.randint(1, 3))}
+            widths.append(GammaElement(coords))
+        phis = [PHI_INF] + [Phi(k) for k in range(1, 14)]
+        for width in widths:
+            for phi in phis:
+                want = width is None or compare(psi(width), phi.as_element()) <= 0
+                assert _wide_width(width, phi) is want, (width, phi)
+        # a far scale is answered without building its staircase point
+        assert _wide_width(GammaElement({7: Fraction(1)}), Phi(10**8)) is True
+        assert _wide_width(ZERO, Phi(10**8)) is False
 
 
 class TestMember:
