@@ -304,7 +304,7 @@ def _cmd_clique(args):
     phi = Phi.parse(args.phi)
     if not phi.is_finite:
         raise CliError("clique needs a finite scale value")
-    best = [format_element(p) for p in equilateral_max_clique(points, phi.as_element())]
+    best = [format_element(p) for p in equilateral_max_clique(points, phi.k)]
     return {"size": len(best), "clique": best}, [f"size\t{len(best)}"] + best
 
 

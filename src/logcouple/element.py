@@ -19,8 +19,8 @@ All values are immutable and all operations are pure.
 An element stores one positive integer denominator ``den`` and a tuple of
 (index, numerator) pairs with integer numerators: sorted by index, no zero
 numerator, and ``gcd(den, *numerators) == 1``; zero is ``den = 1`` and no
-pairs.  Coordinate n is its numerator over ``den``, and ``items()``,
-``coord``, ``truncate`` and ``leading_coeff`` show it as a ``Fraction``.
+pairs.  Coordinate n is its numerator over ``den``, which ``denominator``
+reads, and ``items()``, ``coord`` and ``truncate`` show it as a ``Fraction``.
 The public constructor ``GammaElement(...)`` accepts any (index, value)
 pairs and validates and normalises them.  The private
 ``_element(den, nums)`` wraps a pair that is already canonical and checks
@@ -187,10 +187,9 @@ class GammaElement:
         return self._nums[-1][0]
 
     @property
-    def leading_coeff(self) -> Fraction:
-        if not self._nums:
-            raise ValueError("the zero element has no leading coefficient")
-        return Fraction(self._nums[0][1], self._den)
+    def denominator(self) -> int:
+        """The least common denominator of the coordinates (1 for zero)."""
+        return self._den
 
     def truncate(self, k: int) -> Tuple[Fraction, ...]:
         """The first k coordinates as a dense tuple (zeros kept)."""

@@ -252,21 +252,11 @@ class Atom:
 
 
 def satisfies(assignment: Mapping[int, int], atoms: Iterable[Atom]) -> bool:
-    for a in atoms:
-        ni = assignment[a.i]
-        if a.kind == "diff_le":
-            if not ni - assignment[a.j] <= a.c:
-                return False
-        elif a.kind == "diff_eq":
-            if not ni - assignment[a.j] == a.c:
-                return False
-        elif a.kind == "ge":
-            if not ni >= a.c:
-                return False
-        else:
-            if not ni <= a.c:
-                return False
-    return True
+    """Whether the index assignment (label -> n) meets every atom, read in
+    the normal form ``Atom.edges`` with ``None`` as 0; a label that the
+    assignment lacks raises KeyError."""
+    x = {**assignment, None: 0}
+    return all(x[i] - x[j] <= c for a in atoms for i, j, c in a.edges)
 
 
 def solve_min(
@@ -583,22 +573,28 @@ def contains(X, gamma: GammaElement) -> bool:
 
 
 # The deepest coordinate that a walk of the profile automaton reads.  A walk
-# starts from a list of its first k offset coordinates, so a deeper k is
-# refused with one line before any such list is made.  The README, the
-# tests and the benchmark ask depths up to 1,004.
+# to depth k reads its component's first k offset coordinates from a list
+# (``_shifts``), so a deeper k is refused with one line before any such
+# list is made.  The README, the tests and the benchmark ask depths up to
+# 1,004.
 _MAX_DEPTH = 4096
 
 
-def _denominator(parts, k: int) -> int:
-    """The lcm of the denominators of every coefficient and of the first k
-    offset coordinates of the components in parts.  Every walk asks it
-    first (``_automata``, ``_along``), so it refuses a k past
-    ``_MAX_DEPTH`` when parts has a component to list."""
-    if k > _MAX_DEPTH and parts:
-        raise ValueError(f"depth {k} is past the deepest supported, {_MAX_DEPTH}")
+def _denominator(parts) -> int:
+    """The lcm of the denominators of every coefficient and of every offset
+    of the components in parts: one D that serves every depth."""
     dens = [q.denominator for F, _ in parts for _, q in F._coeffs]
-    dens += [F.offset.prefix_numerators(k)[0] for F, _ in parts]
-    return math.lcm(*dens)
+    return math.lcm(*dens, *[F.offset.denominator for F, _ in parts])
+
+
+def _shifts(F: PsiFunction, k: int, D: int) -> List[int]:
+    """F's first k offset coordinates as integer numerators over D, a
+    multiple of the offset's denominator.  Every walk reads its offset
+    here, so this is where a k past ``_MAX_DEPTH`` is refused."""
+    if k > _MAX_DEPTH:
+        raise ValueError(f"depth {k} is past the deepest supported, {_MAX_DEPTH}")
+    d, offset = F.offset.prefix_numerators(k)
+    return [c * (D // d) for c in offset]
 
 
 def _scaled(vec: Sequence[Fraction], D: int) -> List[Optional[int]]:
@@ -736,27 +732,20 @@ def _clock_memo(labels: Tuple[int, ...], atoms: Tuple[Atom, ...]):
     return successors
 
 
-def _scaled_parts(F: PsiFunction, k: int, D: int):
-    """F's subset sums (``_subset_sums``) and its first k offset
-    coordinates, as integer numerators over D."""
-    msum = _subset_sums([q.numerator * (D // q.denominator) for _, q in F._coeffs])
-    d, offset = F.offset.prefix_numerators(k)
-    return msum, [c * (D // d) for c in offset]
-
-
 _START = -1
 
 
 class _ProfileAutomaton(dict):
     """The determinized profile automaton of F under atoms, with its
-    coordinates as integer numerators over D, read to depth k: a map from
-    a state set to its moves, a list of (symbol, child state set) pairs,
-    each built on first use (``__missing__``) and kept for the object's
-    life.  ``offset`` holds the first k offset coordinates over D, and the
-    key ``_START`` (-1, as a state set is a positive int) holds the moves
-    of the start, read at coordinate 0.  D must be a multiple of the
-    denominators of the coefficients and of the first k offset
-    coordinates (``_denominator``).
+    symbols as integer numerators over D: a map from a state set to its
+    moves, a list of (symbol, child state set) pairs, each built on first
+    use (``__missing__``) and kept for the object's life.  The key
+    ``_START`` (-1, as a state set is a positive int) holds the moves of
+    the start, read at coordinate 0.  D must be a multiple of the
+    denominators of the coefficients (``_denominator``).  The automaton
+    knows no depth and no offset: a walk to depth k reads k moves and adds
+    the first k offset coordinates (``_shifts``) to their symbols, so one
+    object serves every depth.
 
     The first k coordinates of F(n) only depend on the capped profile
     min(n_i, k): coordinate c < k is offset_c + (sum of q_i over
@@ -795,13 +784,12 @@ class _ProfileAutomaton(dict):
     first-call counts: ``project_set(fig2_set(), 30)`` makes 36 calls from
     an empty memo, and none again while the memo holds that system."""
 
-    __slots__ = ("offset", "D", "_build")
+    __slots__ = ("D", "_build")
 
-    def __init__(self, F: PsiFunction, atoms: Tuple[Atom, ...], k: int, D: int):
-        n = len(F._coeffs)
-        msum, self.offset = _scaled_parts(F, k, D)
+    def __init__(self, F: PsiFunction, atoms: Tuple[Atom, ...], D: int):
+        msum = _subset_sums([q.numerator * (D // q.denominator) for _, q in F._coeffs])
         self.D = D
-        full = (1 << n) - 1
+        full = len(msum) - 1
 
         def mask_moves(states: int) -> List[Tuple[int, int]]:
             children: Dict[int, int] = {}
@@ -839,41 +827,30 @@ class _ProfileAutomaton(dict):
 
 
 def _automata(X, K: int):
-    """(D, automata): one ``_ProfileAutomaton`` per component of X, read to
-    depth K over D, ``_denominator`` of X's components at K, which is a
-    multiple of the denominator at every depth up to K."""
+    """(D, walks): D = ``_denominator`` of X's components, and for each
+    component the pair (its first K offset coordinates over D, its
+    ``_ProfileAutomaton`` over D).  The shifts come first, so a K past
+    ``_MAX_DEPTH`` is refused before any automaton is built."""
     parts = _component_parts(X)
-    D = _denominator(parts, K)
-    return D, [_ProfileAutomaton(F, atoms, K, D) for F, atoms in parts]
+    D = _denominator(parts)
+    return D, [(_shifts(F, K, D), _ProfileAutomaton(F, atoms, D)) for F, atoms in parts]
 
 
-def _prefix_walk(auto: _ProfileAutomaton):
-    """The quotient images of one component at depths 1..k, read off its
-    automaton: yields, after each coordinate c = 0..k-1, the list of
-    (prefix, state set) pairs of depth c + 1, one per distinct prefix,
-    each prefix a tuple of integer numerators over D.  Nothing at step c
-    depends on k, so the layer of depth c + 1 is the image at depth
-    c + 1, and one walk serves every depth up to k.  The walk extends
-    each prefix by the symbols of its state set's moves, so every
-    distinct prefix is built exactly once, and no layer is hashed or
+def _prefix_walk(auto: _ProfileAutomaton, shifts: Sequence[int]):
+    """The quotient image of one component at depth k = len(shifts) >= 1,
+    read off its automaton: the list of (prefix, state set) pairs of
+    depth k, one per distinct prefix, each prefix a tuple of integer
+    numerators over D whose coordinate c is shifts[c] plus a symbol.  The
+    walk extends each prefix by the symbols of its state set's moves, so
+    every distinct prefix is built exactly once, and no layer is hashed or
     deduplicated: distinct parents have distinct prefixes, and one
-    parent's children have distinct symbols."""
-    offset = auto.offset
-    layer = [((offset[0] + symbol,), child) for symbol, child in auto[_START]]
-    yield layer
-    for shift in offset[1:]:
+    parent's children have distinct symbols.  Nothing at step c depends
+    on k, so one automaton serves every depth: ``shifts[:j]`` walks it to
+    depth j."""
+    layer = [((shifts[0] + symbol,), child) for symbol, child in auto[_START]]
+    for shift in shifts[1:]:
         layer = [(prefix + (shift + symbol,), child) for prefix, states in layer for symbol, child in auto[states]]
-        yield layer
-
-
-def _union_walk(X, K: int):
-    """The prefix walks of every component of X to depth K, in lockstep:
-    returns (D, layers) with D as in ``_automata``.  The k-th item of
-    layers, k = 1..K, holds each component's depth-k layer
-    (``_prefix_walk``).  An empty union has K empty layers."""
-    D, automata = _automata(X, K)
-    walks = [_prefix_walk(auto) for auto in automata]
-    return D, zip(*walks) if walks else itertools.repeat((), K)
+    return layer
 
 
 def _transfer_counts(X, K: int) -> List[int]:
@@ -883,8 +860,8 @@ def _transfer_counts(X, K: int) -> List[int]:
     maps each product state to its number of prefixes; a product state is
     a tuple of state sets, ``_START`` before coordinate 0 and 0 for a
     component that has died."""
-    _, automata = _automata(X, K)
-    n = len(automata)
+    _, walks = _automata(X, K)
+    n = len(walks)
     counts = []
     layer = {(_START,) * n: 1}  # the empty prefix
     for c in range(K):
@@ -893,8 +870,8 @@ def _transfer_counts(X, K: int) -> List[int]:
             children: Dict[int, list] = {}
             for i, states in enumerate(key):
                 if states:
-                    auto = automata[i]
-                    shift = auto.offset[c]
+                    shifts, auto = walks[i]
+                    shift = shifts[c]
                     for symbol, child in auto[states]:
                         row = children.get(shift + symbol)
                         if row is None:
@@ -912,18 +889,20 @@ def _transfer_counts(X, K: int) -> List[int]:
 
 
 def _along(F: PsiFunction, atoms: Tuple[Atom, ...], gamma: GammaElement, K: int):
-    """(auto, states): the automaton of the component F under atoms, read
-    to depth K over D = ``_denominator`` of that component at K, and the
-    state set of its points that agree with gamma on the first K
-    coordinates, found by following gamma's coordinates from the start.
-    The state set is 0 if no point agrees: the path ends at the first
-    coordinate that no move matches, and one outside (1/D)Z matches
-    none."""
-    auto = _ProfileAutomaton(F, atoms, K, _denominator([(F, atoms)], K))
-    D = auto.D
+    """(auto, states): the automaton of the component F under atoms, over
+    D = ``_denominator`` of that component, and the state set of its
+    points that agree with gamma on the first K coordinates, found by
+    following gamma's coordinates from the start: at coordinate c the
+    move taken is the one whose symbol is D gamma_c minus the shift
+    (``_shifts``).  The state set is 0 if no point agrees: the path ends
+    at the first coordinate that no move matches, and one outside (1/D)Z
+    matches none."""
+    D = _denominator([(F, atoms)])
+    shifts = _shifts(F, K, D)
+    auto = _ProfileAutomaton(F, atoms, D)
     d, nums = gamma.prefix_numerators(K)
     states = _START
-    for num, shift in zip(nums, auto.offset):
+    for num, shift in zip(nums, shifts):
         goal, rem = divmod(num * D, d)
         if rem:
             return auto, 0
@@ -1073,22 +1052,23 @@ def recover(evals: Iterable[Tuple[Sequence[int], GammaElement]]) -> PsiFunction:
 # -- equilateral sets ----------------------------------------------------------
 
 
-def equilateral_max_clique(sample: Sequence[GammaElement], phi: GammaElement) -> List[GammaElement]:
+def equilateral_max_clique(sample: Sequence[GammaElement], phi: Union[GammaElement, int]) -> List[GammaElement]:
     """A maximum subset of the sample whose pairwise psi-differences all
-    equal phi = E_k, in sample order.
+    equal phi = E_k, in sample order; phi is the psi point E_k or its
+    index k, which a caller at a far scale passes without building E_k.
 
     psi(a - b) = E_k exactly when a - b has leading index k - 1, that is
     when a and b agree on coordinates 0..k-2 and differ at k-1.  So an
-    equilateral set lies in one class of points with a common prefix
-    ``p.truncate(k - 1)``, and it is equilateral iff its coordinates k - 1
-    are pairwise distinct: a clique of a class takes at most one point per
-    value there, and one point per value is a clique.  The largest class
-    by number of values gives a maximum clique.  Of all maximum cliques
-    this returns the one whose sorted sample positions are
-    lexicographically least: in each class the first position of each
+    equilateral set lies in one class of points with a common prefix, the
+    nonzero coordinates below k - 1, and it is equilateral iff its
+    coordinates k - 1 are pairwise distinct: a clique of a class takes at
+    most one point per value there, and one point per value is a clique.
+    The largest class by number of values gives a maximum clique.  Of all
+    maximum cliques this returns the one whose sorted sample positions
+    are lexicographically least: in each class the first position of each
     value, and of the classes with the most values the one whose
     positions come first."""
-    k = psi_point_index(phi)
+    k = phi if type(phi) is int and phi >= 1 else psi_point_index(phi)
     if k is None:
         raise ValueError("phi must be a finite psi point")
     points = list(sample)
@@ -1096,9 +1076,10 @@ def equilateral_max_clique(sample: Sequence[GammaElement], phi: GammaElement) ->
         raise ValueError("sample points must be group elements")
     if len(set(points)) != len(points):
         raise ValueError("sample must be pairwise distinct")
-    classes: Dict[Tuple[Fraction, ...], Dict[Fraction, int]] = {}
+    classes: Dict[Tuple[Tuple[int, Fraction], ...], Dict[Fraction, int]] = {}
     for i, p in enumerate(points):
-        classes.setdefault(p.truncate(k - 1), {}).setdefault(p.coord(k - 1), i)
+        prefix = tuple(item for item in p.items() if item[0] < k - 1)
+        classes.setdefault(prefix, {}).setdefault(p.coord(k - 1), i)
     best = min(
         (list(c.values()) for c in classes.values()), key=lambda pos: (-len(pos), pos), default=[]
     )

@@ -8,24 +8,25 @@ computed exactly from capped index profiles: the first k coordinates of a
 staircase sum only depend on min(n_i, k).  The distinct prefixes of
 those values are the paths of a component's determinized profile
 automaton (``psifun._ProfileAutomaton``, over one common denominator D
-for a union), whose docstring gives the argument: the subset
-construction, and the clock signatures of constrained chains.
-``psifun._prefix_walk`` reads it one coordinate at a time and builds
-each distinct prefix once, and ``psifun._union_walk`` runs one walk per
-component, in lockstep.  The successor lists of those signatures are
-kept per constraint system across calls (``psifun._clock_memo``), so
-``solve_min`` counts quoted for a walk are first-call counts: 36 for
-``project_set(fig2_set(), 30)`` from an empty memo, and 0 when repeated.
+for a union, the same at every depth), whose docstring gives the
+argument: the subset construction, and the clock signatures of
+constrained chains.  The automaton knows no depth:
+``psifun._prefix_walk`` reads it to depth k one coordinate at a time,
+adding the component's offset, and builds each distinct prefix once.
+The successor lists of those signatures are kept per constraint system
+across calls (``psifun._clock_memo``), so ``solve_min`` counts quoted
+for a walk are first-call counts: 36 for ``project_set(fig2_set(), 30)``
+from an empty memo, and 0 when repeated.
 
-``project_set`` keeps the distinct integer vectors of the union's last
-layer and returns them, with D, as a read-only ``QuotientImage`` and makes
-no Fraction while it computes: its length is the count at depth k, a
-membership query is scaled by D and looked up among the integer vectors,
-and iteration yields sorted Fraction tuples, one Fraction per distinct
-value.  ``count_function`` builds no prefix: it counts the paths of the
-product of the components' automata by the transfer recurrence, once, to
-its largest k, and ``fit_count_polynomial`` fits the table's tail in
-Newton form.
+``project_set`` walks each component to depth k, keeps the distinct
+integer vectors of their last layers and returns them, with D, as a
+read-only ``QuotientImage`` and makes no Fraction while it computes:
+its length is the count at depth k, a membership query is scaled by D
+and looked up among the integer vectors, and iteration yields sorted
+Fraction tuples, one Fraction per distinct value.  ``count_function``
+builds no prefix: it counts the paths of the product of the
+components' automata by the transfer recurrence, once, to its largest
+k, and ``fit_count_polynomial`` fits the table's tail in Newton form.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .element import GammaElement, GammaExt, INF, format_rational, json_int, psi_point
-from .psifun import _scaled, _transfer_counts, _union_walk
+from .psifun import _automata, _prefix_walk, _scaled, _transfer_counts
 
 __all__ = [
     "Phi",
@@ -179,15 +180,13 @@ class QuotientImage(AbcSet):
 
 def project_set(X, k: int) -> QuotientImage:
     """The exact finite projection of an image union or constrained image:
-    the prefixes of the depth-k layers of ``_union_walk``, kept in a
-    ``QuotientImage`` over the walks' denominator D; no Fraction is made
-    until the image is iterated."""
+    the prefixes of each component's walk to depth k (``_prefix_walk``),
+    kept in a ``QuotientImage`` over the union's denominator D; no
+    Fraction is made until the image is iterated."""
     if json_int(k, "projection depth must be an integer") < 1:
         raise ValueError("projection depth must be >= 1")
-    D, layers = _union_walk(X, k)
-    for layer in layers:
-        pass
-    return QuotientImage({prefix for walk in layer for prefix, _ in walk}, D, k)
+    D, walks = _automata(X, k)
+    return QuotientImage({prefix for shifts, auto in walks for prefix, _ in _prefix_walk(auto, shifts)}, D, k)
 
 
 def count_function(X, ks: Iterable[int]) -> List[Tuple[int, int]]:

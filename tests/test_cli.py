@@ -500,6 +500,12 @@ class TestOtherVerbs:
         code, out = run(capsys, "clique", "--phi", "s^2", "--point", points[0], "--file", str(path), "--json")
         assert code == 0 and json.loads(out) == {"size": 40, "clique": points}
 
+    def test_clique_at_a_far_scale(self, capsys):
+        # E_k is not built: the verb passes k, and each point's class is
+        # its nonzero coordinates below k - 1
+        code, out = run(capsys, "clique", "--phi", "s^{100000000}0", "--point", "[1]", "--point", "[2]")
+        assert (code, out) == (0, "size\t1\n[1]\n")
+
     def test_recover(self, capsys, tmp_path):
         hidden = parse_linear("2x0 - x1 + [1]")
         evals = {

@@ -1,7 +1,7 @@
 """Rules on the library's source, checked from its files.
 
 Every library, test and benchmark file is read, tokenized and parsed once,
-and the four rules share that pass.  A name counts only where it is code:
+and the five rules share that pass.  A name counts only where it is code:
 a NAME token, so a comment or a string does not keep anything alive.
 This module is not a reader for the dead-export rule, so no export stays
 alive by being named here.
@@ -105,3 +105,24 @@ def test_trusted_constructors_stay_in_element(sources):
         if name in TRUSTED
     ]
     assert not leaks, "\n".join(leaks)
+
+
+def test_no_dead_public_methods(sources):
+    # a public method or property of a library class must be named outside
+    # its own definition, in the library, a test or the benchmark
+    named = {}
+    for path, (_, held) in sources.items():
+        if path != Path(__file__).resolve():
+            for name, line in held:
+                named.setdefault(name, []).append((path, line))
+    dead = []
+    for path, tree, _ in _library(sources):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                    span = range(node.lineno, node.end_lineno + 1)
+                    if all(other == path and line in span for other, line in named.get(node.name, [])):
+                        dead.append(f"{path}:{node.lineno}: {cls.name}.{node.name} is named only in its own definition")
+    assert not dead, "\n".join(dead)

@@ -661,7 +661,7 @@ class TestConstrained:
 
     def test_witness_exactly_when_some_family_solves(self):
         # the oracle instantiates every family of member in a window and
-        # reads the atoms kind by kind with satisfies
+        # reads the atoms with satisfies
         rng = random.Random(1108)
         found = refused = 0
         for _ in range(150):
@@ -688,6 +688,42 @@ class TestConstrained:
                     assert not any(satisfies(dict(zip(labels, t)), C.constraints) for t in window), (C, gamma)
                     refused += 1
         assert found > 200 and refused > 200
+
+    def test_satisfies_matches_the_per_kind_reading(self):
+        # satisfies reads Atom.edges; the per-kind reading it replaced is
+        # kept here as the reference
+        def per_kind(assignment, atoms):
+            for a in atoms:
+                ni = assignment[a.i]
+                if a.kind == "diff_le":
+                    ok = ni - assignment[a.j] <= a.c
+                elif a.kind == "diff_eq":
+                    ok = ni - assignment[a.j] == a.c
+                elif a.kind == "ge":
+                    ok = ni >= a.c
+                else:
+                    ok = ni <= a.c
+                if not ok:
+                    return False
+            return True
+
+        rng = random.Random(1230)
+        answers = []
+        for _ in range(3000):
+            arity = rng.randint(1, 4)
+            atoms = random_atoms(rng, arity, most=3, diffs=(-2, 2), bounds=(0, 4))
+            assignment = {l: rng.randint(1, 4) for l in range(arity)}
+            want = per_kind(assignment, atoms)
+            assert satisfies(assignment, atoms) is want, (assignment, atoms)
+            answers.append(want)
+        assert answers.count(True) > 500 and answers.count(False) > 500
+        for assignment, atoms in [
+            ({0: 1}, (Atom("diff_le", i=0, j=1, c=0),)),
+            ({1: 1}, (Atom("diff_eq", i=0, j=1, c=0),)),
+            ({}, (Atom("ge", i=0, c=1),)),
+        ]:
+            with pytest.raises(KeyError):
+                satisfies(assignment, atoms)
 
     def test_constraints_must_use_known_labels(self):
         with pytest.raises(ValueError):
@@ -863,7 +899,7 @@ class TestProbe:
                 trues += got
                 early += answered_early(gamma, X, depth, K)
                 constrained_trues += got and len(plain) < len(X)
-                D = _denominator(_component_parts(X), K)
+                D = _denominator(_component_parts(X))
                 off_grid += any(D % q.denominator for _, q in gamma.items())
         assert trues > 40 and constrained_trues > 10 and off_grid > 40 and early > 60, (
             trues,
@@ -1195,9 +1231,41 @@ class TestEquilateral:
         best = equilateral_max_clique(sample, psi_point(2))
         assert len(best) == 2 and psi_point(1) in best
 
+    def test_sparse_prefix_classes_match_the_dense_ones(self):
+        # the classes are keyed by the nonzero coordinates below k - 1; the
+        # dense key p.truncate(k - 1) they replaced is kept here as the
+        # reference, and k passed as an index answers as E_k does
+        def dense(sample, k):
+            classes = {}
+            for i, p in enumerate(sample):
+                classes.setdefault(p.truncate(k - 1), {}).setdefault(p.coord(k - 1), i)
+            best = min((list(c.values()) for c in classes.values()), key=lambda pos: (-len(pos), pos), default=[])
+            return [sample[i] for i in best]
+
+        rng = random.Random(1231)
+        sizes = set()
+        for _ in range(150):
+            bases = [GammaElement({i: rng.randint(-1, 1) for i in range(rng.randint(0, 3))}) for _ in range(2)]
+            pool = set()
+            for _ in range(14):
+                p = rng.choice(bases)
+                for _ in range(rng.randint(1, 2)):
+                    p += unit(rng.randrange(10)) * Fraction(rng.choice([-1, 1, 2]), rng.choice([1, 3]))
+                pool.add(p)
+            sample = rng.sample(sorted(pool), rng.randint(1, len(pool)))
+            for k in range(1, 11):
+                want = dense(sample, k)
+                assert equilateral_max_clique(sample, psi_point(k)) == want, (sample, k)
+                assert equilateral_max_clique(sample, k) == want, (sample, k)
+                sizes.add(len(want))
+        assert {1, 2, 3, 4} <= sizes, sizes
+
     def test_rejects_infinity_and_duplicates(self):
         with pytest.raises(ValueError):
             equilateral_max_clique([el("[1]")], INF)
+        for index in (0, -2, True, 2.0):
+            with pytest.raises(ValueError, match="finite psi point"):
+                equilateral_max_clique([el("[1]")], index)
         with pytest.raises(ValueError):
             equilateral_max_clique([el("[1]"), el("[1]")], psi_point(1))
 

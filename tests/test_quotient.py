@@ -420,8 +420,9 @@ class TestQuotientImage:
 class TestPrefixWalk:
     @staticmethod
     def layers(X, k):
-        D, (auto,) = psifun._automata(X, k)
-        return D, list(psifun._prefix_walk(auto))
+        # one automaton object walked to every depth j = 1..k
+        D, ((shifts, auto),) = psifun._automata(X, k)
+        return D, [psifun._prefix_walk(auto, shifts[:j]) for j in range(1, k + 1)]
 
     @pytest.mark.parametrize(
         "X, k, last",
@@ -458,6 +459,26 @@ class TestPrefixWalk:
                 prefixes = [tuple(Fraction(x, D) for x in prefix) for prefix, _ in layer]
                 assert len(set(prefixes)) == len(prefixes), (X, j)
                 assert set(prefixes) == {v[:j] for v in want}, (X, j)
+
+    def test_one_denominator_at_every_depth(self):
+        # the offset's 1/7 sits at index 10, past every depth below 11, yet
+        # D counts it at every depth, so images, membership and counts over
+        # one D agree with the oracle at depths on both sides of it
+        X = [
+            parse_linear("x0 - x1 + [0, 1/3, 0, 0, 0, 0, 0, 0, 0, 0, 1/7]"),
+            ConstrainedImage(parse_linear("x0 + 1/2x1"), (Atom("diff_le", i=0, j=1, c=-1),)),
+        ]
+        counts = count_function(X, range(1, 13))
+        for k in range(1, 13):
+            D, _ = psifun._automata(X, k)
+            assert D == 42, k
+            want = capped_profile_oracle(X, k)
+            img = project_set(X, k)
+            assert set(img) == want and counts[k - 1] == (k, len(want)), k
+            for v in sorted(want)[:20]:
+                for step in (Fraction(0), Fraction(1, 7), Fraction(1, 5), Fraction(1, 2)):
+                    moved = v[:-1] + (v[-1] + step,)
+                    assert (moved in img) == (moved in want), (k, moved)
 
 
 class TestCount:
@@ -512,16 +533,16 @@ class TestCount:
 
     def test_one_sweep_per_component(self, monkeypatch):
         depths = []
-        build = psifun._ProfileAutomaton
+        shifts = psifun._shifts
 
-        def counting(F, atoms, k, D):
+        def counting(F, k, D):
             depths.append(k)
-            return build(F, atoms, k, D)
+            return shifts(F, k, D)
 
-        monkeypatch.setattr(psifun, "_ProfileAutomaton", counting)
+        monkeypatch.setattr(psifun, "_shifts", counting)
         X = [fig2_set(), parse_linear("x0 - x1"), parse_linear("x0")]
         assert count_function(X, [4, 2, 7, 7]) == [(k, len(project_set(X, k))) for k in (4, 2, 7, 7)]
-        # project_set's own automata come after count_function's three
+        # project_set's own walks come after count_function's three
         assert depths[:3] == [7, 7, 7] and len(depths) == 3 + 4 * len(X)
         depths.clear()
         with pytest.raises(ValueError, match="projection depth must be >= 1"):
@@ -553,8 +574,6 @@ class TestCount:
             counts = count_function(X, range(1, 13))
             assert counts == [(k, len({v[:k] for v in want})) for k in range(1, 13)], X
             assert counts == [(k, len(project_set(X, k))) for k in range(1, 13)], X
-            _, layers = psifun._union_walk(X, 12)
-            assert counts == [(k, len({p for walk in layer for p, _ in walk})) for k, layer in enumerate(layers, 1)], X
 
     @pytest.mark.parametrize(
         "X, k, last",
