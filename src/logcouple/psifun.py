@@ -9,12 +9,15 @@ F_{I\\J} over nonempty J with zero coefficient sum (under difference
 constraints, over those J that the constraints leave unbounded and that
 move F; see ``derived_set``).
 
-The membership solver exploits the staircase shape of E_n = e_0+...+e_{n-1}:
-coordinate drops of gamma - beta must be partitioned into exact sub-multiset
-sums of the coefficients, with zero-sum leftovers free to sit beyond the
-support (reported as parametric families).  The search yields one family at
-a time: ``contains`` and ``member_constrained`` stop at the first family
-that answers them, and ``member`` lists them all.
+Membership is one staircase search, on the shape of E_n = e_0+...+e_{n-1}:
+one loop places the labels position by position, each block summing to
+the drop of gamma - beta there, as integer subset sums of the coefficients
+over one denominator, with zero-sum blocks free to sit beyond the support
+(reported as parametric families).  It keeps its own stack, so the depth
+it reaches is bounded by ``_MAX_DEPTH`` (4,096 coordinates), not by
+Python's recursion limit.  It yields one family at a time: ``contains`` and
+``member_constrained`` stop at the first family that answers them, and
+``member`` lists them all.
 
 Quotient images, counts, the limit-point probe and thickened membership
 all read one enumerator of capped index profiles: the determinized
@@ -402,7 +405,7 @@ def derived_set(X) -> List[Component]:
         if solve_min(labels, atoms) is None:
             continue
         n = len(labels)
-        msum = _subset_sums([q for _, q in F._coeffs])
+        msum = _subset_sums(F, _denominator([(F, atoms)]))
         for mask in range(1, 1 << n):
             if msum[mask]:
                 continue  # (i): the coefficients over J must sum to 0
@@ -462,82 +465,91 @@ class MemberSolution:
         return dict(self.assignment)
 
 
-def _zero_partitions(mask: int, msum) -> Iterable[List[int]]:
-    if mask == 0:
-        yield []
-        return
-    low = mask & -mask
-    rest = mask ^ low
-    sub = rest
-    while True:
-        block = low | sub
-        if msum[block] == 0:
-            for p in _zero_partitions(mask ^ block, msum):
-                yield [block] + p
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-
-
-def _subset_sums(qs: Sequence) -> list:
-    """The sum of qs over every nonempty bit mask of positions, indexed by
-    mask, in the type of qs (Fractions or integers); msum[0] is 0."""
+def _subset_sums(F: PsiFunction, D: int) -> List[int]:
+    """D times the sum of F's coefficients over every bit mask of positions
+    in ``F.labels``, indexed by mask, as integers: D must be a multiple of
+    the coefficients' denominators.  msum[0] is 0."""
     msum = [0]
-    for q in qs:
+    for _, q in F._coeffs:
+        q = q.numerator * (D // q.denominator)
         msum += [s + q for s in msum]
     return msum
 
 
 def _member_families(gamma: GammaElement, F: PsiFunction) -> Iterator[MemberSolution]:
     """The solution families of F(assignment) = gamma, one at a time, so a
-    caller that only needs the first one stops the search there."""
+    caller that only needs the first one stops the search there.
+
+    Coordinate c of sum q_i E_{n_i} is the sum of the q_i with n_i > c.
+    So coordinate 0 of gamma - offset must be the sum of every q_i, and
+    the block of labels at position m >= 1 (those with n_i = m) must sum
+    to the drop of gamma - offset from coordinate m - 1 to m.  Let M be
+    one past the last nonzero coordinate of gamma - offset, so the drop at
+    M is not 0.  Up to M a block is any sub of the labels left with that
+    sum, the empty one too.  Past M every drop is 0: the labels left fall
+    into zero-sum blocks, each free to sit at any position past M, which
+    makes a parametric family.  It is listed once, with each block
+    holding the lowest label left and the blocks at M + 1, M + 2, ...
+
+    One loop walks the positions depth first, with one generator of
+    candidate blocks per open position, each in decreasing order of sub,
+    so its own stack, not Python's, holds the depth.  Position 0 holds no
+    label, and a branch that places every label before M dies there.  The sums are integer
+    numerators over one D (``_subset_sums``).  A search that would read a
+    coordinate past ``_MAX_DEPTH`` is refused with one line when it gets
+    there."""
     if not isinstance(gamma, GammaElement):
         return
     delta = gamma - F.offset
     labels = F.labels
-    if not labels:
-        if delta.is_zero:
-            yield MemberSolution(())
-        return
     n = len(labels)
     if n > 16:
         raise ValueError("membership solving supports at most 16 indices")
-    msum = _subset_sums([q for _, q in F._coeffs])
-    if delta.coord(0) != msum[(1 << n) - 1]:
-        return
     M = 0 if delta.is_zero else delta.last_index + 1
-    dense = delta.truncate(M + 1)
-    jumps = [dense[m - 1] - dense[m] for m in range(1, M + 1)]
+    d, nums = delta.prefix_numerators(min(M, _MAX_DEPTH + 1))
+    D = math.lcm(d, *[q.denominator for _, q in F._coeffs])
+    coords = [c * (D // d) for c in nums] + [0] * (n + 1)  # 0 at each position past M that a block reaches
+    msum = _subset_sums(F, D)
+    full = (1 << n) - 1
+    if coords[0] != msum[full]:
+        return
 
-    def place(m: int, remaining: int, placed: List[Tuple[int, int]]) -> Iterator[MemberSolution]:
-        if m > M:
-            for part in _zero_partitions(remaining, msum):
-                blocks = sorted(part, key=lambda b: (b & -b).bit_length())
-                assignment = dict(placed)
-                floating = []
-                for pos, block in enumerate(blocks, start=M + 1):
-                    group = frozenset(labels[i] for i in range(n) if block >> i & 1)
-                    floating.append(group)
-                    for l in group:
-                        assignment[l] = pos
-                yield MemberSolution(tuple(sorted(assignment.items())), tuple(floating))
-            return
-        target = jumps[m - 1]
-        sub = remaining
+    def blocks(m: int, left: int) -> Iterator[Tuple[int, int]]:
+        """(block, labels left after it) for each block at position m."""
+        if _MAX_DEPTH < m <= M:
+            raise ValueError(f"depth {M} is past the deepest supported, {_MAX_DEPTH}")
+        low = left & -left if m > M else 0
+        target = coords[m - 1] - coords[m]
+        rest = sub = left ^ low
         while True:
-            if msum[sub] == target:
-                chosen = [(labels[i], m) for i in range(n) if sub >> i & 1]
-                yield from place(m + 1, remaining ^ sub, placed + chosen)
+            if msum[low | sub] == target:
+                yield low | sub, rest ^ sub
             if sub == 0:
                 break
-            sub = (sub - 1) & remaining
+            sub = (sub - 1) & rest
 
-    yield from place(1, (1 << n) - 1, [])
+    path: List[int] = []  # the block at each position 0, 1, ... of the open branch
+    stack = [iter([(0, full)])]  # every n_i >= 1
+    while stack:
+        for block, left in stack[-1]:  # the next block at the deepest open position
+            path[len(stack) - 1 :] = [block]
+            if left:
+                stack.append(blocks(len(path), left))
+            elif len(path) > M:  # up to M no label is left for the drop at M, which is not 0
+                assignment = sorted((labels[i], m) for m, b in enumerate(path) for i in range(n) if b >> i & 1)
+                floating = [frozenset(labels[i] for i in range(n) if b >> i & 1) for b in path[M + 1 :]]
+                yield MemberSolution(tuple(assignment), tuple(floating))
+            break
+        else:
+            stack.pop()
 
 
 def member(gamma: GammaElement, F: PsiFunction) -> List[MemberSolution]:
     """All index assignments with F(assignment) = gamma, including parametric
-    zero-sum families; empty list means gamma is not in the image."""
+    zero-sum families, in the order of the one staircase search
+    (``_member_families``); an empty list means gamma is not in the image.
+    A search that would read a coordinate of gamma - offset past 4,096
+    raises a one-line ValueError."""
     return list(_member_families(gamma, F))
 
 
@@ -561,7 +573,9 @@ def member_constrained(gamma: GammaElement, C: ConstrainedImage) -> Optional[Dic
 
 
 def contains(X, gamma: GammaElement) -> bool:
-    """Membership in a component, a constrained component, or a union."""
+    """Membership in a component, a constrained component, or a union: the
+    staircase search of ``member``, stopped at the first family that
+    answers, with the same ValueError past 4,096 coordinates."""
     if isinstance(X, PsiFunction):
         return next(_member_families(gamma, X), None) is not None
     if isinstance(X, ConstrainedImage):
@@ -572,11 +586,12 @@ def contains(X, gamma: GammaElement) -> bool:
 # -- capped index profiles -----------------------------------------------------
 
 
-# The deepest coordinate that a walk of the profile automaton reads.  A walk
-# to depth k reads its component's first k offset coordinates from a list
-# (``_shifts``), so a deeper k is refused with one line before any such
-# list is made.  The README, the tests and the benchmark ask depths up to
-# 1,004.
+# The deepest coordinate that a walk of the profile automaton, or the
+# staircase search of ``member``, reads.  A walk to depth k reads its
+# component's first k offset coordinates from a list (``_shifts``), so a
+# deeper k is refused with one line before any such list is made; the
+# search refuses with the same line on reaching a position past it.  The
+# README, the tests and the benchmark ask depths up to 1,004.
 _MAX_DEPTH = 4096
 
 
@@ -787,7 +802,7 @@ class _ProfileAutomaton(dict):
     __slots__ = ("D", "_build")
 
     def __init__(self, F: PsiFunction, atoms: Tuple[Atom, ...], D: int):
-        msum = _subset_sums([q.numerator * (D // q.denominator) for _, q in F._coeffs])
+        msum = _subset_sums(F, D)
         self.D = D
         full = len(msum) - 1
 

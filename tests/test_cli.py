@@ -118,6 +118,11 @@ class TestImageVerbs:
         code, out = run(capsys, "member", "--gamma", "[1]", "--file", fig2_file)
         assert code == 0 and out.strip() == "no"
 
+    def test_member_far_point(self, capsys):
+        # e_1501 = E_1502 - E_1501: the search goes 1,502 positions deep
+        code, out = run(capsys, "member", "--union", "x0-x1", "--gamma", "[" + "0, " * 1501 + "1]")
+        assert code == 0 and out == "x0 - x1: (1502, 1501)\n"
+
     def test_member_output_with_several_families(self, capsys, tmp_path):
         # the component's JSON and text are built once and shared by its
         # families; both outputs stay byte for byte what they were
@@ -443,6 +448,8 @@ class TestInputErrors:
             (["count", "--union", "x0", "--k", "100000000"], "depth 100000000 is past the deepest supported, 4096"),
             (["project-set", "--union", "x0", "--k", "100000000"], "depth 100000000 is past the deepest supported"),
             (["crosscheck", "--rep", "x0-rep.json", "--phi", "s^{100000000}0"], "depth 100000000 is past the deepest"),
+            # so is a membership search that would read a coordinate past it
+            (["member", "--union", "x0-x1", "--gamma", "[" + "0, " * 5000 + "1]"], "depth 5001 is past the deepest supported, 4096"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, argv, message):

@@ -4,7 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import pytest
 
@@ -22,6 +22,7 @@ from logcouple.gen import random_element
 from logcouple.psifun import (
     Atom,
     ConstrainedImage,
+    MemberSolution,
     PsiFunction,
     _component_parts,
     _denominator,
@@ -176,6 +177,83 @@ def _has_nongamma_value(
         if satisfies(assignment, atoms) and F.evaluate(assignment) != gamma:
             return True
     return False
+
+
+# The staircase search before it became one loop over integer subset sums,
+# moved here verbatim from the library as the reference for member's family
+# lists: Fraction subset sums, one recursion per coordinate, and a second
+# search (_zero_partitions) for the blocks that float past the support.
+def _zero_partitions(mask: int, msum) -> Iterable[List[int]]:
+    if mask == 0:
+        yield []
+        return
+    low = mask & -mask
+    rest = mask ^ low
+    sub = rest
+    while True:
+        block = low | sub
+        if msum[block] == 0:
+            for p in _zero_partitions(mask ^ block, msum):
+                yield [block] + p
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest
+
+
+def _subset_sums(qs: Sequence) -> list:
+    """The sum of qs over every nonempty bit mask of positions, indexed by
+    mask, in the type of qs (Fractions or integers); msum[0] is 0."""
+    msum = [0]
+    for q in qs:
+        msum += [s + q for s in msum]
+    return msum
+
+
+def _member_families(gamma: GammaElement, F: PsiFunction) -> Iterator[MemberSolution]:
+    """The solution families of F(assignment) = gamma, one at a time, so a
+    caller that only needs the first one stops the search there."""
+    if not isinstance(gamma, GammaElement):
+        return
+    delta = gamma - F.offset
+    labels = F.labels
+    if not labels:
+        if delta.is_zero:
+            yield MemberSolution(())
+        return
+    n = len(labels)
+    if n > 16:
+        raise ValueError("membership solving supports at most 16 indices")
+    msum = _subset_sums([q for _, q in F._coeffs])
+    if delta.coord(0) != msum[(1 << n) - 1]:
+        return
+    M = 0 if delta.is_zero else delta.last_index + 1
+    dense = delta.truncate(M + 1)
+    jumps = [dense[m - 1] - dense[m] for m in range(1, M + 1)]
+
+    def place(m: int, remaining: int, placed: List[Tuple[int, int]]) -> Iterator[MemberSolution]:
+        if m > M:
+            for part in _zero_partitions(remaining, msum):
+                blocks = sorted(part, key=lambda b: (b & -b).bit_length())
+                assignment = dict(placed)
+                floating = []
+                for pos, block in enumerate(blocks, start=M + 1):
+                    group = frozenset(labels[i] for i in range(n) if block >> i & 1)
+                    floating.append(group)
+                    for l in group:
+                        assignment[l] = pos
+                yield MemberSolution(tuple(sorted(assignment.items())), tuple(floating))
+            return
+        target = jumps[m - 1]
+        sub = remaining
+        while True:
+            if msum[sub] == target:
+                chosen = [(labels[i], m) for i in range(n) if sub >> i & 1]
+                yield from place(m + 1, remaining ^ sub, placed + chosen)
+            if sub == 0:
+                break
+            sub = (sub - 1) & remaining
+
+    yield from place(1, (1 << n) - 1, [])
 
 
 def reference_probe_depth(gamma, X, K):
@@ -601,6 +679,42 @@ class TestMember:
         alt16 = PsiFunction({l: (-1) ** l for l in range(16)})
         assert contains(alt16, ZERO)
         assert contains([alt16], ZERO)
+
+    def test_families_match_the_recursive_search(self):
+        # member's family lists, order included, against the recursive search
+        # kept above, on members, moved and off-grid points of maps of
+        # arity 0..6 with mixed denominators and offsets
+        rng = random.Random(3101)
+        queries = families = parametric = 0
+        while queries < 5000:
+            F = zero_sum_psifunction(rng, max_arity=6)
+            labels = F.labels
+            points = [F.evaluate({l: rng.randint(1, 5) for l in labels}) for _ in range(4)]
+            points += [points[0] + unit(rng.randrange(6)) * rng.choice([1, -1, Fraction(1, 2)])]
+            points += [off_grid(rng, points[1]), random_element(rng, max_support=5, bound=6), ZERO, INF]
+            for gamma in points:
+                got = member(gamma, F)
+                assert got == list(_member_families(gamma, F)), (F, gamma)
+                queries += 1
+                families += len(got)
+                parametric += sum(sol.parametric for sol in got)
+        assert families > 5000 and parametric > 1000
+
+    def test_far_member_answers(self):
+        # the search keeps its own stack: a point 1,500 coordinates out is
+        # found, where one recursion per coordinate passed Python's limit
+        F = fn("x0 - x1")
+        gamma = psi_point(1502) - psi_point(1501)
+        assert member(gamma, F) == [MemberSolution(((0, 1502), (1, 1501)))]
+        assert contains(F, gamma) and contains([F], gamma)
+        assert member_constrained(gamma, ConstrainedImage(F, (Atom("diff_eq", i=0, j=1, c=1),))) == {0: 1502, 1: 1501}
+        assert ThickenedSmall([F]).contains(gamma)
+        # coordinate 0 is read first, and a search that dies early answers
+        assert not contains(F, unit(0) + unit(5000))
+        assert member(unit(1) * 5 + unit(5000), F) == []
+        # a search that would read a coordinate past _MAX_DEPTH is refused
+        with pytest.raises(ValueError, match="^depth 5001 is past the deepest supported, 4096$"):
+            member(unit(5000), F)
 
 
 class TestConstrained:
