@@ -213,6 +213,11 @@ class GammaElement:
             return self._den, nums
         return self._den // g, [c // g for c in nums]
 
+    def numerators(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+        """(den, pairs): the stored form, the nonzero coordinates as sorted
+        (index, c) pairs, coordinate index being c / den."""
+        return self._den, self._nums
+
     def items(self) -> Tuple[Tuple[int, Fraction], ...]:
         """The nonzero coordinates as sorted (index, value) pairs."""
         den = self._den

@@ -90,10 +90,15 @@ class PsiFunction:
     """An affine map out of a finite power of the psi set.
 
     ``coeffs`` maps integer index labels to nonzero rationals; an empty
-    map denotes the constant function with value ``offset``.
+    map denotes the constant function with value ``offset``.  The
+    constructor also keeps an integer view of the coefficients, the way
+    ``GammaElement`` keeps its coordinates: ``_den``, the lcm of their
+    denominators (1 for a constant), and ``_nums``, their integer
+    numerators over it in label order, which the automaton, the staircase
+    search and ``_denominator`` read.
     """
 
-    __slots__ = ("_coeffs", "offset")
+    __slots__ = ("_coeffs", "_den", "_nums", "offset")
 
     def __init__(
         self,
@@ -118,6 +123,8 @@ class PsiFunction:
         if not isinstance(offset, GammaElement):
             raise ValueError("offset must be a group element (not inf)")
         self._coeffs = tuple(sorted(acc.items()))
+        self._den = math.lcm(*[q.denominator for _, q in self._coeffs])
+        self._nums = tuple(q.numerator * (self._den // q.denominator) for _, q in self._coeffs)
         self.offset = offset
 
     @property
@@ -467,11 +474,12 @@ class MemberSolution:
 
 def _subset_sums(F: PsiFunction, D: int) -> List[int]:
     """D times the sum of F's coefficients over every bit mask of positions
-    in ``F.labels``, indexed by mask, as integers: D must be a multiple of
-    the coefficients' denominators.  msum[0] is 0."""
+    in ``F.labels``, indexed by mask, as integers read from F's integer
+    view: D must be a multiple of ``F._den``.  msum[0] is 0."""
     msum = [0]
-    for _, q in F._coeffs:
-        q = q.numerator * (D // q.denominator)
+    scale = D // F._den
+    for q in F._nums:
+        q *= scale
         msum += [s + q for s in msum]
     return msum
 
@@ -507,7 +515,7 @@ def _member_families(gamma: GammaElement, F: PsiFunction) -> Iterator[MemberSolu
         raise ValueError("membership solving supports at most 16 indices")
     M = 0 if delta.is_zero else delta.last_index + 1
     d, nums = delta.prefix_numerators(min(M, _MAX_DEPTH + 1))
-    D = math.lcm(d, *[q.denominator for _, q in F._coeffs])
+    D = math.lcm(d, F._den)
     coords = [c * (D // d) for c in nums] + [0] * (n + 1)  # 0 at each position past M that a block reaches
     msum = _subset_sums(F, D)
     full = (1 << n) - 1
@@ -598,8 +606,7 @@ _MAX_DEPTH = 4096
 def _denominator(parts) -> int:
     """The lcm of the denominators of every coefficient and of every offset
     of the components in parts: one D that serves every depth."""
-    dens = [q.denominator for F, _ in parts for _, q in F._coeffs]
-    return math.lcm(*dens, *[F.offset.denominator for F, _ in parts])
+    return math.lcm(*[F._den for F, _ in parts], *[F.offset.denominator for F, _ in parts])
 
 
 def _shifts(F: PsiFunction, k: int, D: int) -> List[int]:
@@ -754,10 +761,13 @@ class _ProfileAutomaton(dict):
     """The determinized profile automaton of F under atoms, with its
     symbols as integer numerators over D: a map from a state set to its
     moves, a list of (symbol, child state set) pairs, each built on first
-    use (``__missing__``) and kept for the object's life.  The key
-    ``_START`` (-1, as a state set is a positive int) holds the moves of
-    the start, read at coordinate 0.  D must be a multiple of the
-    denominators of the coefficients (``_denominator``).  The automaton
+    use and kept for the object's life.  One ``__missing__`` builds them
+    from the subset sums (``_subset_sums``) and, under atoms, the memo's
+    successor lists (``_clock_memo``); an instance makes no closure.  The
+    key ``_START`` (-1, as a state set is a positive int) holds the moves
+    of the start, read at coordinate 0: under atoms those of state set 1,
+    the start signature.  D must be a multiple of the denominators of the
+    coefficients (``_denominator``).  The automaton
     knows no depth and no offset: a walk to depth k reads k moves and adds
     the first k offset coordinates (``_shifts``) to their symbols, so one
     object serves every depth.
@@ -799,45 +809,33 @@ class _ProfileAutomaton(dict):
     first-call counts: ``project_set(fig2_set(), 30)`` makes 36 calls from
     an empty memo, and none again while the memo holds that system."""
 
-    __slots__ = ("D", "_build")
+    __slots__ = ("D", "_msum", "_successors")
 
     def __init__(self, F: PsiFunction, atoms: Tuple[Atom, ...], D: int):
-        msum = _subset_sums(F, D)
         self.D = D
+        self._msum = msum = _subset_sums(F, D)
+        self._successors = _clock_memo(F.labels, atoms) if atoms else None
         full = len(msum) - 1
+        self[_START] = self[1] if atoms else [(msum[full], 1 << full)]
 
-        def mask_moves(states: int) -> List[Tuple[int, int]]:
-            children: Dict[int, int] = {}
-            while states:
-                low = states & -states
-                states ^= low
+    def __missing__(self, states: int) -> List[Tuple[int, int]]:
+        msum, successors = self._msum, self._successors
+        children: Dict[int, int] = {}
+        rest = states
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if successors:
+                for sub, child in successors(low.bit_length() - 1):
+                    children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
+            else:
                 open_mask = sub = low.bit_length() - 1
                 while True:
                     children[msum[sub]] = children.get(msum[sub], 0) | 1 << sub
                     if sub == 0:
                         break
                     sub = (sub - 1) & open_mask
-            return list(children.items())
-
-        def signature_moves(states: int) -> List[Tuple[int, int]]:
-            children: Dict[int, int] = {}
-            while states:
-                low = states & -states
-                states ^= low
-                for sub, child in successors(low.bit_length() - 1):
-                    children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
-            return list(children.items())
-
-        if atoms:
-            successors = _clock_memo(F.labels, atoms)
-            self._build = signature_moves
-            self[_START] = signature_moves(1)
-        else:
-            self._build = mask_moves
-            self[_START] = [(msum[full], 1 << full)]
-
-    def __missing__(self, states: int) -> List[Tuple[int, int]]:
-        moves = self[states] = self._build(states)
+        moves = self[states] = list(children.items())
         return moves
 
 
@@ -953,13 +951,15 @@ def _leaves(F: PsiFunction, atoms: Tuple[Atom, ...], gamma: GammaElement, K: int
        closes a cycle that every chain reaching it follows for ever.  A
        completion has finite support, so the cycle reads only 0, and it
        stays on gamma's path iff gamma - offset is 0 from there on.
-    gamma - offset is read sparsely, from its nonzero coordinates past
-    K, and only once a state set has a single move."""
+    gamma - offset is read sparsely, as integer numerators, from its
+    nonzero coordinates past K, and only once a state set has a single
+    move.  A coordinate outside (1/D)Z is None there, so it matches no
+    symbol, as in ``_along``."""
     auto, states = _along(F, atoms, gamma, K)
     if not states:
         return False
     seen = {states}
-    ahead = None  # D (gamma - offset)_c at its nonzero coordinates c >= K, the nearest last
+    ahead = None  # D (gamma - offset)_c (None off (1/D)Z) at its nonzero coordinates c >= K, the nearest last
     c = K
     while True:
         moves = auto[states]
@@ -967,7 +967,8 @@ def _leaves(F: PsiFunction, atoms: Tuple[Atom, ...], gamma: GammaElement, K: int
             return True
         symbol, states = moves[0]
         if ahead is None:
-            ahead = [(i, auto.D * q) for i, q in reversed((gamma - F.offset).items()) if i >= K]
+            den, nums = (gamma - F.offset).numerators()
+            ahead = [(i, None if num * auto.D % den else num * auto.D // den) for i, num in reversed(nums) if i >= K]
         if ahead and ahead[-1][0] == c:
             if symbol != ahead.pop()[1]:
                 return True

@@ -1,6 +1,7 @@
 """Small-set calculus tests: derived sets, membership, probes, recovery."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -440,6 +441,32 @@ class TestBasics:
         assert G.is_constant and G.offset == el("[2]")
         with pytest.raises(ValueError):
             F.restrict({5})
+
+    def test_integer_view_matches_the_coefficients(self):
+        # _den and _nums, kept by the constructor, against the Fractions:
+        # seeded maps with mixed denominators, their restrictions, and
+        # parsed maps whose repeated variables accumulate
+        rng = random.Random(3201)
+        maps = [
+            fn("1/2 x0 + 1/3 x0 - x1 + 5/6 x1 + 1/4 x2 + [1/7]"),
+            fn("x0 - x0 + 3/4 x1 + 1/4 x1 - 2/9 x3 - 1/9 x3"),
+            fn("[1/5]"),
+            fig2_set().base,
+        ]
+        for _ in range(150):
+            F = random_psifunction(rng, max_arity=6, coeff_bound=12)
+            maps += [F, F.restrict(rng.sample(F.labels, rng.randint(0, len(F.labels))))]
+        for F in maps:
+            assert all(type(c) is int for c in F._nums), F
+            assert {l: Fraction(c, F._den) for l, c in zip(F.labels, F._nums)} == F.coeffs, F
+            dens = [q.denominator for q in F.coeffs.values()]
+            assert F._den == math.lcm(*dens), F
+            D = _denominator([(F, ())])
+            assert D == math.lcm(*dens, F.offset.denominator), F
+            D *= rng.randint(1, 3)
+            msum = psifun._subset_sums(F, D)
+            assert all(type(s) is int for s in msum), F
+            assert msum == [s * D for s in _subset_sums(list(F.coeffs.values()))], F
 
     def test_coefficients_must_be_nonzero(self):
         with pytest.raises(ValueError):
@@ -925,6 +952,11 @@ class TestSolveMin:
         assert 40 < found < 160
 
 
+# {e_m : m >= 1} and {e_m + e_{m+1} : m >= 1}, as x0 - x1 with n0 - n1 fixed
+SHIFT = ConstrainedImage(parse_linear("x0 - x1"), (Atom("diff_eq", i=0, j=1, c=1),))
+GAP2 = ConstrainedImage(parse_linear("x0 - x1"), (Atom("diff_eq", i=0, j=1, c=2),))
+
+
 class TestProbe:
     def test_zero_is_a_limit_of_differences(self):
         assert limit_point_probe(ZERO, [fn("x0 - x1")], 8) is True
@@ -952,6 +984,42 @@ class TestProbe:
     def test_probe_on_union(self):
         X = [fn("x0 - x1"), fn("x0")]
         assert limit_point_probe(ZERO, X, 8) is True
+
+    # gamma - offset past K is read as integer numerators over D: a value
+    # off (1/D)Z (1/7 and 8/7 here, each D prime to 7) matches no symbol.
+    # Floored, it would match the symbol 0 or 1 and answer False in the
+    # rows marked "floor".  The answers were pinned from the Fraction tail.
+    @pytest.mark.parametrize(
+        "X, gamma, K, expected",
+        [
+            (fn("x0"), psi_point(3) + unit(20) * Fraction(1, 7), 20, True),  # floor
+            (fn("x0"), psi_point(3) - unit(20) * Fraction(1, 7), 20, True),
+            (fn("x0"), psi_point(3) + unit(20) * Fraction(8, 7), 20, True),
+            (fn("x0"), psi_point(3) + unit(20) * 3, 20, True),
+            (fn("x0"), psi_point(3) + unit(20) * Fraction(1, 7), 5, True),
+            (fn("x0"), psi_point(3), 20, False),
+            (fn("x0"), psi_point(3) + unit(10**9), 5, True),
+            (fn("x0"), psi_point(3) + unit(10**9) * Fraction(1, 7), 5, True),
+            (fn("1/3 x0 + [0, 1/3]"), el("[1/3, 2/3]") + unit(20) * Fraction(1, 7), 20, True),  # floor
+            (fn("1/3 x0 + [0, 1/3]"), el("[1/3, 2/3]") + unit(20) * Fraction(1, 3), 20, True),
+            (fn("1/3 x0 + [0, 1/3]"), el("[1/3, 2/3]"), 20, False),
+            (SHIFT, unit(20) * Fraction(1, 7), 20, True),
+            (SHIFT, unit(5) + unit(20) * Fraction(1, 7), 20, True),  # floor
+            (SHIFT, unit(5) + unit(10**9), 8, True),
+            (GAP2, unit(5) + unit(6), 6, False),
+            (GAP2, unit(5) + unit(6) * Fraction(8, 7), 6, True),  # floor: the symbol is 1
+            (GAP2, unit(5) + unit(6) + unit(20) * Fraction(1, 7), 6, True),
+            (GAP2, unit(5) + unit(6) * Fraction(1, 7), 6, True),
+            (fig2_set(), unit(1) + unit(2) + unit(20) * Fraction(1, 7), 20, True),  # floor
+            (fig2_set(), unit(1) + unit(2) + unit(10**9) * Fraction(1, 7), 8, True),
+            (fig2_set(), unit(1) + unit(2), 8, False),
+        ],
+    )
+    def test_zero_tail_is_read_exactly(self, X, gamma, K, expected):
+        # the answer alone is asserted: a failing assert on the call would
+        # print gamma, and the literal syntax writes e_(10^9) densely
+        got = limit_point_probe(gamma, X, K)
+        assert got is expected
 
     def test_probe_takes_a_group_element(self):
         for X in (fig2_set(), []):

@@ -8,6 +8,7 @@ import threading
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -417,6 +418,45 @@ class TestQuotientImage:
         assert not hasattr(img, "add")
 
 
+def closure_moves(F, atoms, D):
+    """(the start's moves, the moves of a state set) of F's profile
+    automaton over D, from the two closures that each automaton built
+    before one ``__missing__`` replaced them, kept verbatim as the
+    reference; msum comes from the Fraction coefficients."""
+    msum = [0]
+    for q in F.coeffs.values():
+        msum += [s + q * D for s in msum]
+    msum = [int(s) for s in msum]
+    full = len(msum) - 1
+
+    def mask_moves(states: int) -> List[Tuple[int, int]]:
+        children: Dict[int, int] = {}
+        while states:
+            low = states & -states
+            states ^= low
+            open_mask = sub = low.bit_length() - 1
+            while True:
+                children[msum[sub]] = children.get(msum[sub], 0) | 1 << sub
+                if sub == 0:
+                    break
+                sub = (sub - 1) & open_mask
+        return list(children.items())
+
+    def signature_moves(states: int) -> List[Tuple[int, int]]:
+        children: Dict[int, int] = {}
+        while states:
+            low = states & -states
+            states ^= low
+            for sub, child in successors(low.bit_length() - 1):
+                children[msum[sub]] = children.get(msum[sub], 0) | 1 << child
+        return list(children.items())
+
+    if atoms:
+        successors = psifun._clock_memo(F.labels, atoms)
+        return signature_moves(1), signature_moves
+    return [(msum[full], 1 << full)], mask_moves
+
+
 class TestPrefixWalk:
     @staticmethod
     def layers(X, k):
@@ -459,6 +499,53 @@ class TestPrefixWalk:
                 prefixes = [tuple(Fraction(x, D) for x in prefix) for prefix, _ in layer]
                 assert len(set(prefixes)) == len(prefixes), (X, j)
                 assert set(prefixes) == {v[:j] for v in want}, (X, j)
+
+    def test_moves_match_the_closure_reference(self):
+        # every move list, order included, on seeded state sets: plain maps
+        # of arity 1..8 with repeated and with distinct subset sums (signed
+        # powers of two), and constrained maps with all four atom kinds
+        rng = random.Random(3202)
+        checked = 0
+        kinds = set()
+        for n in range(1, 9):
+            repeated = [rng.choice([-2, -1, 1, 2, 3, Fraction(1, 2)]) for _ in range(n)]
+            distinct = [Fraction(rng.choice([-1, 1]) * 2**i, 5) for i in range(n)]
+            for coeffs in (repeated, distinct):
+                F = PsiFunction(enumerate(coeffs), GammaElement({1: Fraction(1, 3)}))
+                D = psifun._denominator([(F, ())]) * rng.randint(1, 2)
+                auto = psifun._ProfileAutomaton(F, (), D)
+                start, moves = closure_moves(F, (), D)
+                assert auto[psifun._START] == start
+                sets = [rng.getrandbits(1 << n) or 1 for _ in range(6)]
+                for _ in range(6):  # one to three masks
+                    sets.append(sum(1 << m for m in rng.sample(range(1 << n), min(rng.randint(1, 3), 1 << n))))
+                sets += [child for _, child in auto[start[0][1]]]
+                for states in sets:
+                    assert auto[states] == moves(states), (F, states)
+                    checked += 1
+        for _ in range(60):
+            arity = rng.randint(2, 4)
+            coeffs = {i: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3])) for i in range(arity)}
+            F = PsiFunction(coeffs)
+            atoms = random_atoms(rng, arity, most=4, diffs=(-2, 2), bounds=(1, 4))
+            kinds |= {a.kind for a in atoms}
+            D = psifun._denominator([(F, atoms)])
+            auto = psifun._ProfileAutomaton(F, atoms, D)
+            start, moves = closure_moves(F, atoms, D)
+            assert auto[psifun._START] == start
+            numbers, layer = set(), {child for _, child in start}
+            for _ in range(6):  # the state sets reached in six steps, and their signatures
+                numbers.update(i for states in layer for i in range(states.bit_length()) if states >> i & 1)
+                layer = {child for states in layer for _, child in auto[states]}
+            numbers = sorted(numbers)
+            if not numbers:
+                continue  # the atoms have no solution
+            sets = [sum(1 << i for i in rng.sample(numbers, rng.randint(1, len(numbers)))) for _ in range(8)]
+            for states in sets:
+                assert auto[states] == moves(states), (F, atoms, states)
+                checked += 1
+        assert kinds == {"diff_le", "diff_eq", "ge", "le"}
+        assert checked > 1000
 
     def test_one_denominator_at_every_depth(self):
         # the offset's 1/7 sits at index 10, past every depth below 11, yet
